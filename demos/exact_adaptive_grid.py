@@ -30,7 +30,7 @@ def main():
         mode = AdaptiveGrid(first_stage_steps=n0, stage_steps=nstage)
         cfg = RunConfig(
             control=control,
-            grid=GridSpec(cells=10, steps=n0, dx=0.1, dt=1.0),
+            grid=GridSpec(cells=10),
             quadrature=QuadratureKind.RIEMANN_INTERIOR,
             mode=mode,
         )

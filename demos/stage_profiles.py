@@ -34,9 +34,9 @@ def main():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=50, steps=200, horizon=10.0),
+        grid=GridSpec(cells=50),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=200),
         snapshot_stride=1,
     )
     traj = run(cfg)

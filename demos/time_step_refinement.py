@@ -30,14 +30,15 @@ def main():
     for steps in (200, 400, 800, 1600, 3200):
         cfg = RunConfig(
             control=control,
-            grid=GridSpec.uniform(cells=50, steps=steps, horizon=10.0),
+            grid=GridSpec(cells=50),
             quadrature=QuadratureKind.RIEMANN_INTERIOR,
-            mode=FixedGrid(),
+            mode=FixedGrid(steps=steps),
         )
         report = compare_with_oracle(run(cfg), cfg)
-        attained = max((2 * r.index - 1) * cfg.grid.dt for r in report.events)
+        dt = cfg.mode.stages(control)[0].dt
+        attained = max((2 * r.index - 1) * dt for r in report.events)
         print(
-            f"{steps:6d} {cfg.grid.dt:9.5f} {len(report.events):10d} "
+            f"{steps:6d} {dt:9.5f} {len(report.events):10d} "
             f"{report.max_abs_error:9.5f} {attained:15.5f}"
         )
 

@@ -8,7 +8,7 @@ form: fixed time grids detect the switches with a bounded lag, while
 adaptively sized grids reproduce them exactly.
 """
 
-from .analytic import ControlConfig, mass_rate, switch_spacing, switch_time, total_mass
+from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time, total_mass
 from .controller import (
     THRESHOLD_ATOL,
     ControllerState,
@@ -27,8 +27,6 @@ from .runner import (
     Trajectory,
     compare_with_oracle,
     run,
-    run_adaptive_grid,
-    run_fixed_grid,
 )
 from .stepper import (
     FieldState,
@@ -45,6 +43,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveGrid",
+    "ConfigError",
     "ControlConfig",
     "ControllerState",
     "CrossingDirection",
@@ -70,8 +69,6 @@ __all__ = [
     "mass_rate",
     "observe",
     "run",
-    "run_adaptive_grid",
-    "run_fixed_grid",
     "solve",
     "step",
     "switch_spacing",

@@ -9,7 +9,18 @@ These values are the ground truth the numerical runs are compared to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+
+class ConfigError(ValueError):
+    """A config field is missing, unknown, or violates an invariant;
+    ``key`` names the field."""
+
+    def __init__(self, key: str, message: str):
+        self.key = key
+        self.message = message
+        super().__init__(f"{key}: {message}")
 
 
 @dataclass(frozen=True)
@@ -19,6 +30,8 @@ class ControlConfig:
     lower, upper:  mass thresholds, 0 < lower < upper
     diffusivity:   coefficient in u_t = diffusivity * u_xx
     horizon:       final time of the run
+
+    All four must be finite: the checks below are false for NaN and inf.
     """
 
     lower: float
@@ -27,15 +40,16 @@ class ControlConfig:
     horizon: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.lower < self.upper:
-            raise ValueError(
-                f"thresholds must satisfy 0 < lower < upper, "
-                f"got lower={self.lower}, upper={self.upper}"
+        if not 0.0 < self.lower < self.upper < math.inf:
+            raise ConfigError(
+                "lower",
+                f"thresholds must satisfy 0 < lower < upper < inf, "
+                f"got lower={self.lower}, upper={self.upper}",
             )
-        if self.diffusivity <= 0.0:
-            raise ValueError(f"diffusivity must be positive, got {self.diffusivity}")
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.diffusivity < math.inf:
+            raise ConfigError("diffusivity", f"must be positive and finite, got {self.diffusivity}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon", f"must be positive and finite, got {self.horizon}")
 
 
 def mass_rate(control: ControlConfig) -> float:

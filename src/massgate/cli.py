@@ -25,9 +25,10 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .analytic import ControlConfig, switch_spacing, switch_time
+from .analytic import ConfigError, ControlConfig, switch_spacing, switch_time
 from .quadrature import QuadratureKind
 from .runner import (
     AdaptiveGrid,
@@ -36,9 +37,7 @@ from .runner import (
     RunConfig,
     Trajectory,
     compare_with_oracle,
-    first_stage_dt,
     run,
-    with_quadrature,
 )
 from .stepper import GridSpec
 
@@ -47,54 +46,38 @@ log = logging.getLogger(__name__)
 _KEYS = {"m", "M", "alpha", "horizon", "J", "N", "quadrature", "mode", "N0", "Nstage", "snapshot_stride"}
 _QUADRATURES = {"riemann", "trapezoid"}
 _MODES = {"fixed", "adaptive"}
+# Config dataclass field -> config key, for fields whose names differ.
+_FIELD_KEYS = {"lower": "m", "upper": "M", "diffusivity": "alpha", "cells": "J",
+               "steps": "N", "first_stage_steps": "N0", "stage_steps": "Nstage"}
 
 
-class ConfigError(ValueError):
-    """A config key is missing, unknown, or violates an invariant."""
-
-    def __init__(self, key: str, message: str):
-        self.key = key
-        super().__init__(f"{key}: {message}")
-
-
-def _require_number(raw: dict, key: str) -> float:
-    if key not in raw:
+def _require(
+    raw: dict, key: str, integer: bool = False, default: int | None = None
+) -> float | int:
+    """raw[key], or ``default`` when absent and given; it must be an
+    integer, or any number unless ``integer``."""
+    if key not in raw and default is None:
         raise ConfigError(key, "missing required key")
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(key, f"must be a number, got {value!r}")
-    return float(value)
-
-
-def _require_int(raw: dict, key: str) -> int:
-    if key not in raw:
-        raise ConfigError(key, "missing required key")
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(key, f"must be an integer, got {value!r}")
-    return value
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(key, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
+    return value if integer else float(value)
 
 
 def config_from_mapping(raw: dict) -> RunConfig:
-    """Validate a flat config mapping and build the run configuration."""
+    """Validate a flat config mapping and build the run configuration.
+
+    Key names and value types are checked here, value invariants by the
+    config dataclasses, whose errors are re-keyed to config keys."""
     for key in raw:
         if key not in _KEYS:
             raise ConfigError(key, "unknown key")
 
-    lower = _require_number(raw, "m")
-    upper = _require_number(raw, "M")
-    alpha = _require_number(raw, "alpha")
-    horizon = _require_number(raw, "horizon")
-    cells = _require_int(raw, "J")
-
-    if lower <= 0.0 or lower >= upper:
-        raise ConfigError("m", f"thresholds must satisfy 0 < m < M, got m={lower}, M={upper}")
-    if alpha <= 0.0:
-        raise ConfigError("alpha", f"must be positive, got {alpha}")
-    if horizon <= 0.0:
-        raise ConfigError("horizon", f"must be positive, got {horizon}")
-    if cells < 2:
-        raise ConfigError("J", f"must be at least 2, got {cells}")
+    lower = _require(raw, "m")
+    upper = _require(raw, "M")
+    alpha = _require(raw, "alpha")
+    horizon = _require(raw, "horizon")
+    cells = _require(raw, "J", integer=True)
 
     mode_name = raw.get("mode", "fixed")
     if mode_name not in _MODES:
@@ -104,51 +87,42 @@ def config_from_mapping(raw: dict) -> RunConfig:
     if quad_name not in _QUADRATURES:
         raise ConfigError("quadrature", f"must be one of {sorted(_QUADRATURES)}, got {quad_name!r}")
 
-    stride = raw.get("snapshot_stride", 0)
-    if isinstance(stride, bool) or not isinstance(stride, int):
-        raise ConfigError("snapshot_stride", f"must be an integer, got {stride!r}")
-    if stride < 0:
-        raise ConfigError("snapshot_stride", f"must be >= 0, got {stride}")
+    stride = _require(raw, "snapshot_stride", integer=True, default=0)
 
-    control = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon)
-
-    if mode_name == "fixed":
-        for key in ("N0", "Nstage"):
-            if key in raw:
-                raise ConfigError(key, "only valid in adaptive mode")
-        steps = _require_int(raw, "N")
-        if steps < 1:
-            raise ConfigError("N", f"must be at least 1, got {steps}")
-        grid = GridSpec.uniform(cells=cells, steps=steps, horizon=horizon)
-        mode: FixedGrid | AdaptiveGrid = FixedGrid()
-    else:
-        if "N" in raw:
-            raise ConfigError("N", "only valid in fixed mode")
-        if quad_name != "riemann":
-            raise ConfigError("quadrature", "adaptive mode requires riemann")
-        n0 = _require_int(raw, "N0")
-        nstage = _require_int(raw, "Nstage")
-        if n0 < 1:
-            raise ConfigError("N0", f"must be at least 1, got {n0}")
-        if nstage < 1:
-            raise ConfigError("Nstage", f"must be at least 1, got {nstage}")
-        mode = AdaptiveGrid(first_stage_steps=n0, stage_steps=nstage)
-        # grid.steps/dt describe the first stage; later stages derive their own
-        grid = GridSpec(cells=cells, steps=n0, dx=1.0 / cells, dt=first_stage_dt(control, mode))
-
-    quad = QuadratureKind.RIEMANN_INTERIOR if quad_name == "riemann" else QuadratureKind.TRAPEZOID
-    return RunConfig(control=control, grid=grid, quadrature=quad, mode=mode, snapshot_stride=stride)
+    try:
+        if mode_name == "fixed":
+            for key in ("N0", "Nstage"):
+                if key in raw:
+                    raise ConfigError(key, "only valid in adaptive mode")
+            mode = FixedGrid(_require(raw, "N", integer=True))
+        else:
+            if "N" in raw:
+                raise ConfigError("N", "only valid in fixed mode")
+            mode = AdaptiveGrid(_require(raw, "N0", integer=True), _require(raw, "Nstage", integer=True))
+        return RunConfig(
+            control=ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon),
+            grid=GridSpec(cells),
+            quadrature=QuadratureKind(quad_name),
+            mode=mode,
+            snapshot_stride=stride,
+        )
+    except ConfigError as exc:  # dataclass field names -> config keys; CLI keys pass through
+        raise ConfigError(_FIELD_KEYS.get(exc.key, exc.key), exc.message) from exc
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a JSON config document into a run configuration."""
+def _json_object(text: str) -> dict:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config", "must be a JSON object")
-    return config_from_mapping(raw)
+    return raw
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse a JSON config document into a run configuration."""
+    return config_from_mapping(_json_object(text))
 
 
 def config_to_mapping(run_config: RunConfig) -> dict:
@@ -169,7 +143,7 @@ def config_to_mapping(run_config: RunConfig) -> dict:
         raw["Nstage"] = run_config.mode.stage_steps
     else:
         raw["mode"] = "fixed"
-        raw["N"] = run_config.grid.steps
+        raw["N"] = run_config.mode.steps
     return raw
 
 
@@ -252,12 +226,7 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
         text = Path(config_path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError("config", f"cannot read {config_path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "must be a JSON object")
+    raw = _json_object(text)
     for item in overrides or []:
         key, sep, value = item.partition("=")
         if not sep:
@@ -298,7 +267,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     payload = {}
     for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
-        variant = with_quadrature(run_config, kind)
+        variant = replace(run_config, quadrature=kind)
         traj = run(variant)
         report = compare_with_oracle(traj, variant)
         emit_outputs(traj, report, out / kind.value)
@@ -326,15 +295,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for steps in step_counts:
         raw_n = dict(raw)
         raw_n["N"] = steps
+        # config_from_mapping rejects N outside fixed mode
         run_config = config_from_mapping(raw_n)
-        if not isinstance(run_config.mode, FixedGrid):
-            raise ConfigError("mode", "sweep varies N and requires fixed mode")
         traj = run(run_config)
         report = compare_with_oracle(traj, run_config)
         rows.append(
             {
                 "N": steps,
-                "dt": run_config.grid.dt,
+                "dt": run_config.mode.stages(run_config.control)[0].dt,
                 "events": len(report.events),
                 "max_abs_err": report.max_abs_error,
                 "all_within_bound": all(r.within_bound for r in report.events),
@@ -409,7 +377,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and every other library ValueError
         print(f"massgate: config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

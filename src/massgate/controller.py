@@ -42,12 +42,11 @@ class ControllerState:
 
     The phase is +1 before the first event and after even-indexed events,
     -1 after odd-indexed events; directions alternate starting with an
-    upper crossing.
+    upper crossing.  The next event's index is ``len(events) + 1``.
     """
 
     phase: FluxSign = FluxSign.INFLOW
     events: tuple[SwitchEvent, ...] = ()
-    next_index: int = 1
 
 
 def observe(
@@ -87,15 +86,11 @@ def _flip(
     direction: CrossingDirection,
 ) -> tuple[ControllerState, FluxSign]:
     event = SwitchEvent(
-        index=ctrl.next_index,
+        index=len(ctrl.events) + 1,
         time=time,
         mass_at_switch=mass_value,
         direction=direction,
     )
     flipped = ctrl.phase.flipped()
-    new = ControllerState(
-        phase=flipped,
-        events=ctrl.events + (event,),
-        next_index=ctrl.next_index + 1,
-    )
+    new = ControllerState(phase=flipped, events=ctrl.events + (event,))
     return new, flipped

@@ -1,12 +1,13 @@
-"""Full controlled simulations on the two kinds of time grid.
+"""Full controlled simulations: one stepping loop over a time grid given
+as a schedule of stages, each ``steps`` steps of one dt.
 
-Fixed grid: ``steps`` uniform steps of dt = horizon/steps; crossings land
-on the grid with a delay below one step per already-detected switch.
+Fixed grid: one stage of dt = horizon/steps; crossings land on the grid
+with a delay below one step per already-detected switch.
 
 Adaptive grid: the first stage uses dt sized so the interior-Riemann mass
 lands exactly on the upper threshold after ``first_stage_steps`` steps,
-and every later stage uses dt sized so it lands exactly on the opposite
-threshold after ``stage_steps`` steps.  The detected switch times then
+and the second uses dt sized so it lands exactly on the opposite
+threshold every ``stage_steps`` steps.  The detected switch times then
 coincide with the closed-form ones.
 
 ``compare_with_oracle`` pairs each detected switch against the closed
@@ -16,12 +17,13 @@ form and checks the per-switch error bound 0 <= error < k * dt.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
-from .analytic import ControlConfig
+from .analytic import ConfigError, ControlConfig
 from .controller import ControllerState, SwitchEvent, observe
 from .quadrature import QuadratureKind, mass
 from .stepper import FieldState, GridSpec, step
@@ -32,10 +34,42 @@ log = logging.getLogger(__name__)
 # real arithmetic land within accumulated roundoff of the oracle time.
 ERROR_ATOL = 1e-9
 
+# A step ending within this fraction of a step before the horizon reaches
+# it: adaptive step ends are closed-form switch times, and a horizon set to
+# one must not cost an extra step when start + i * dt rounds below it.
+HORIZON_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class Stage:
+    """``steps`` steps of size ``dt``; step i (1-based) ends at start + i * dt."""
+
+    start: float
+    dt: float
+    steps: int
+
+    @property
+    def end(self) -> float:
+        return self.start + self.steps * self.dt
+
+
+def _steps_to_horizon(start: float, dt: float, horizon: float) -> int:
+    """Steps of size dt from ``start`` until a step ends at or past the horizon."""
+    return max(0, math.ceil((horizon - start) / dt - HORIZON_SLACK))
+
 
 @dataclass(frozen=True)
 class FixedGrid:
-    """Uniform time grid over the whole run."""
+    """``steps`` uniform steps over the whole run."""
+
+    steps: int
+
+    def __post_init__(self) -> None:
+        if self.steps < 1:
+            raise ConfigError("steps", f"need at least 1 time step, got {self.steps}")
+
+    def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
+        return (Stage(start=0.0, dt=control.horizon / self.steps, steps=self.steps),)
 
 
 @dataclass(frozen=True)
@@ -47,12 +81,26 @@ class AdaptiveGrid:
 
     def __post_init__(self) -> None:
         if self.first_stage_steps < 1:
-            raise ValueError(f"first_stage_steps must be >= 1, got {self.first_stage_steps}")
+            raise ConfigError("first_stage_steps", f"must be >= 1, got {self.first_stage_steps}")
         if self.stage_steps < 1:
-            raise ValueError(f"stage_steps must be >= 1, got {self.stage_steps}")
+            raise ConfigError("stage_steps", f"must be >= 1, got {self.stage_steps}")
 
+    def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
+        """The climb from zero mass to the upper threshold, then steps that
+        take the mass between the thresholds in ``stage_steps`` steps.
 
-TimeGridMode = FixedGrid | AdaptiveGrid
+        Either stage stops early at the horizon, so the run is bounded.
+        """
+        rate = analytic.mass_rate(control)
+        climb_dt = control.upper / (rate * self.first_stage_steps)
+        climb_steps = min(self.first_stage_steps, _steps_to_horizon(0.0, climb_dt, control.horizon))
+        climb = Stage(start=0.0, dt=climb_dt, steps=climb_steps)
+        if climb_steps < self.first_stage_steps:
+            return (climb,)
+        span = control.upper - control.lower
+        dt = span / (rate * self.stage_steps)
+        steps = _steps_to_horizon(climb.end, dt, control.horizon)
+        return (climb, Stage(start=climb.end, dt=dt, steps=steps))
 
 
 @dataclass(frozen=True)
@@ -62,12 +110,17 @@ class RunConfig:
     control: ControlConfig
     grid: GridSpec
     quadrature: QuadratureKind
-    mode: TimeGridMode
+    mode: FixedGrid | AdaptiveGrid
     snapshot_stride: int = 0
 
     def __post_init__(self) -> None:
         if self.snapshot_stride < 0:
-            raise ValueError(f"snapshot_stride must be >= 0, got {self.snapshot_stride}")
+            raise ConfigError("snapshot_stride", f"must be >= 0, got {self.snapshot_stride}")
+        # Only the interior Riemann mass advances by exactly 2 * diffusivity
+        # * dt per step, which lands the adaptive stage ends on the thresholds.
+        riemann = self.quadrature is QuadratureKind.RIEMANN_INTERIOR
+        if isinstance(self.mode, AdaptiveGrid) and not riemann:
+            raise ConfigError("quadrature", "adaptive grids require the interior Riemann quadrature")
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,48 +164,44 @@ class OracleMismatch(RuntimeError):
     """The run detected a switch the closed form says cannot exist yet."""
 
 
-def first_stage_dt(control: ControlConfig, mode: AdaptiveGrid) -> float:
-    """dt of the climb from zero mass to the upper threshold."""
-    return control.upper / (analytic.mass_rate(control) * mode.first_stage_steps)
-
-
-def later_stage_dt(control: ControlConfig, mode: AdaptiveGrid) -> float:
-    """dt of every stage between the two thresholds."""
-    span = control.upper - control.lower
-    return span / (analytic.mass_rate(control) * mode.stage_steps)
-
-
-def run_fixed_grid(run: RunConfig) -> Trajectory:
-    """Execute ``grid.steps`` uniform steps from the zero field.
+def run(config: RunConfig) -> Trajectory:
+    """Step from the zero field through every stage of the time grid.
 
     After each step the mass is evaluated with the configured quadrature
     and fed to the relay; the resulting flip, if any, takes effect on the
-    next step.  Deterministic: identical configs give identical output.
+    next step.  Step i of a stage is stamped start + i * dt, so the times
+    carry no running-sum drift.  Deterministic: identical configs give
+    identical output.
     """
-    if not isinstance(run.mode, FixedGrid):
-        raise ValueError(f"run_fixed_grid needs a FixedGrid mode, got {run.mode!r}")
-    grid = run.grid
-    control = run.control
+    grid = config.grid
+    control = config.control
+    stages = config.mode.stages(control)
+    total = sum(stage.steps for stage in stages)
 
     state = FieldState.zero(grid)
     ctrl = ControllerState()
     flux = ctrl.phase
-    times = np.empty(grid.steps)
-    masses = np.empty(grid.steps)
-    fluxes = np.empty(grid.steps, dtype=int)
+    times = np.empty(total)
+    masses = np.empty(total)
+    fluxes = np.empty(total, dtype=int)
     snapshots: list[FieldState] = []
 
-    for n in range(1, grid.steps + 1):
-        state = step(state, flux, grid, control.diffusivity)
-        mu = mass(state, grid, run.quadrature)
-        times[n - 1] = state.time
-        masses[n - 1] = mu
-        fluxes[n - 1] = int(flux)
-        if run.snapshot_stride and n % run.snapshot_stride == 0:
-            snapshots.append(state)
-        ctrl, flux = observe(ctrl, mu, state.time, control)
+    n = 0
+    for stage in stages:
+        for i in range(1, stage.steps + 1):
+            time = stage.start + i * stage.dt
+            state = step(state, flux, grid, stage.dt, control.diffusivity)
+            mu = mass(state, grid, config.quadrature)
+            times[n] = time
+            masses[n] = mu
+            fluxes[n] = int(flux)
+            n += 1
+            if config.snapshot_stride and n % config.snapshot_stride == 0:
+                # state.time is step's running sum; record the stamped time
+                snapshots.append(FieldState(values=state.values, time=time))
+            ctrl, flux = observe(ctrl, mu, time, control)
 
-    log.info("fixed-grid run: %d steps, %d switches", grid.steps, len(ctrl.events))
+    log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(ctrl.events))
     return Trajectory(
         times=times,
         masses=masses,
@@ -160,71 +209,6 @@ def run_fixed_grid(run: RunConfig) -> Trajectory:
         snapshots=tuple(snapshots),
         events=ctrl.events,
     )
-
-
-def run_adaptive_grid(run: RunConfig) -> Trajectory:
-    """Step with stage-sized dt until the horizon is reached.
-
-    Requires the interior Riemann quadrature; only for it does the mass
-    advance by exactly 2 * diffusivity * dt per step, which is what makes
-    the threshold hits at stage ends exact.  dt switches from the first
-    stage's value to the later stages' value once the first switch fires.
-    """
-    if not isinstance(run.mode, AdaptiveGrid):
-        raise ValueError(f"run_adaptive_grid needs an AdaptiveGrid mode, got {run.mode!r}")
-    if run.quadrature is not QuadratureKind.RIEMANN_INTERIOR:
-        raise ValueError("adaptive grids require the interior Riemann quadrature")
-    control = run.control
-    cells = run.grid.cells
-    dx = 1.0 / cells
-    grid_first = GridSpec(cells, run.mode.first_stage_steps, dx, first_stage_dt(control, run.mode))
-    grid_later = GridSpec(cells, run.mode.stage_steps, dx, later_stage_dt(control, run.mode))
-
-    state = FieldState.zero(grid_first)
-    ctrl = ControllerState()
-    flux = ctrl.phase
-    times: list[float] = []
-    masses: list[float] = []
-    fluxes: list[int] = []
-    snapshots: list[FieldState] = []
-
-    n = 0
-    while state.time < control.horizon:
-        grid = grid_first if not ctrl.events else grid_later
-        state = step(state, flux, grid, control.diffusivity)
-        mu = mass(state, grid, run.quadrature)
-        n += 1
-        times.append(state.time)
-        masses.append(mu)
-        fluxes.append(int(flux))
-        if run.snapshot_stride and n % run.snapshot_stride == 0:
-            snapshots.append(state)
-        ctrl, flux = observe(ctrl, mu, state.time, control)
-
-    log.info("adaptive run: %d steps, %d switches", n, len(ctrl.events))
-    return Trajectory(
-        times=np.array(times),
-        masses=np.array(masses),
-        fluxes=np.array(fluxes, dtype=int),
-        snapshots=tuple(snapshots),
-        events=ctrl.events,
-    )
-
-
-def run(config: RunConfig) -> Trajectory:
-    """Dispatch on the time-grid mode."""
-    if isinstance(config.mode, AdaptiveGrid):
-        return run_adaptive_grid(config)
-    return run_fixed_grid(config)
-
-
-def _event_dt(run_config: RunConfig, index: int) -> float:
-    """Time resolution in effect when switch ``index`` was detected."""
-    if isinstance(run_config.mode, FixedGrid):
-        return run_config.grid.dt
-    if index == 1:
-        return first_stage_dt(run_config.control, run_config.mode)
-    return later_stage_dt(run_config.control, run_config.mode)
 
 
 def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
@@ -236,10 +220,12 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
     within horizon + k * dt.
     """
     control = run_config.control
+    stages = run_config.mode.stages(control)
     rows = []
     for ev in traj.events:
         oracle_time = analytic.switch_time(ev.index, control)
-        dt = _event_dt(run_config, ev.index)
+        # dt of the step that detected the switch
+        dt = next((stage.dt for stage in stages if ev.time <= stage.end), stages[-1].dt)
         bound = ev.index * dt
         if oracle_time > control.horizon + bound:
             raise OracleMismatch(
@@ -263,8 +249,3 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
     max_abs_error = max(abs(r.error) for r in rows) if rows else None
     mean_spacing = float(np.mean(np.diff(event_times))) if len(event_times) >= 2 else None
     return ErrorReport(events=tuple(rows), max_abs_error=max_abs_error, mean_spacing=mean_spacing)
-
-
-def with_quadrature(run_config: RunConfig, kind: QuadratureKind) -> RunConfig:
-    """Copy of the config with a different mass quadrature."""
-    return replace(run_config, quadrature=kind)

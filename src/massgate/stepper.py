@@ -18,12 +18,12 @@ time grids exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
+from .analytic import ConfigError
 from .tridiag import SingularPivot, TridiagonalSystem, solve
 
 
@@ -43,28 +43,19 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform discretization: ``cells`` intervals of width dx = 1/cells,
-    time steps of size dt (``steps`` of them in a fixed-grid run)."""
+    """Uniform spatial discretization: ``cells`` intervals of width
+    dx = 1/cells.  The time step is not part of the grid; each stage of
+    a run's time grid supplies its own dt."""
 
     cells: int
-    steps: int
-    dx: float
-    dt: float
 
     def __post_init__(self) -> None:
         if self.cells < 2:
-            raise ValueError(f"need at least 2 spatial cells, got {self.cells}")
-        if self.steps < 1:
-            raise ValueError(f"need at least 1 time step, got {self.steps}")
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not math.isclose(self.dx * self.cells, 1.0, rel_tol=0.0, abs_tol=1e-12):
-            raise ValueError(f"dx must equal 1/cells, got dx={self.dx}, cells={self.cells}")
+            raise ConfigError("cells", f"need at least 2 spatial cells, got {self.cells}")
 
-    @classmethod
-    def uniform(cls, cells: int, steps: int, horizon: float) -> "GridSpec":
-        """Grid with dx = 1/cells and dt = horizon/steps."""
-        return cls(cells=cells, steps=steps, dx=1.0 / cells, dt=horizon / steps)
+    @property
+    def dx(self) -> float:
+        return 1.0 / self.cells
 
     @property
     def points(self) -> np.ndarray:
@@ -84,13 +75,13 @@ class FieldState:
         return cls(values=np.zeros(grid.cells + 1), time=0.0)
 
 
-def diffusion_number(grid: GridSpec, diffusivity: float) -> float:
+def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     """nu = diffusivity * dt / dx^2, the implicit-scheme coupling factor."""
-    return diffusivity * grid.dt / grid.dx**2
+    return diffusivity * dt / grid.dx**2
 
 
 def assemble(
-    state: FieldState, flux: FluxSign, grid: GridSpec, diffusivity: float
+    state: FieldState, flux: FluxSign, grid: GridSpec, dt: float, diffusivity: float
 ) -> TridiagonalSystem:
     """Implicit system for the J-1 interior unknowns at the new time level.
 
@@ -101,7 +92,7 @@ def assemble(
     n = grid.cells + 1
     if len(state.values) != n:
         raise ValueError(f"field has {len(state.values)} values, grid expects {n}")
-    nu = diffusion_number(grid, diffusivity)
+    nu = diffusion_number(grid, dt, diffusivity)
     unknowns = grid.cells - 1
 
     diag = np.full(unknowns, 1.0 + 2.0 * nu)
@@ -116,15 +107,15 @@ def assemble(
 
 
 def step(
-    state: FieldState, flux: FluxSign, grid: GridSpec, diffusivity: float
+    state: FieldState, flux: FluxSign, grid: GridSpec, dt: float, diffusivity: float
 ) -> FieldState:
-    """Advance the field by one dt under the given flux sign.
+    """Advance the field by dt under the given flux sign.
 
     The interior comes from the tridiagonal solve; the end values follow
     from the one-sided flux conditions, so the discrete boundary slopes
     equal -s and +s exactly.
     """
-    system = assemble(state, flux, grid, diffusivity)
+    system = assemble(state, flux, grid, dt, diffusivity)
     try:
         interior = solve(system)
     except SingularPivot as exc:
@@ -135,4 +126,4 @@ def step(
     offset = grid.dx * float(flux)
     values[0] = interior[0] + offset
     values[-1] = interior[-1] + offset
-    return FieldState(values=values, time=state.time + grid.dt)
+    return FieldState(values=values, time=state.time + dt)

@@ -17,8 +17,6 @@ from massgate.runner import (
     RunConfig,
     compare_with_oracle,
     run,
-    run_adaptive_grid,
-    run_fixed_grid,
 )
 from massgate.stepper import FieldState, FluxSign, GridSpec, step
 from massgate.tridiag import TridiagonalSystem, solve
@@ -35,9 +33,9 @@ def reference_config(quadrature: QuadratureKind, steps: int = 200, stride: int =
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
     return RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=50, steps=steps, horizon=10.0),
+        grid=GridSpec(cells=50),
         quadrature=quadrature,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=steps),
         snapshot_stride=stride,
     )
 
@@ -46,7 +44,7 @@ def test_criterion_1_reference_switch_table():
     failures: list[str] = []
     started = time.perf_counter()
     cfg = reference_config(QuadratureKind.TRAPEZOID)
-    traj = run_fixed_grid(cfg)
+    traj = run(cfg)
     elapsed = time.perf_counter() - started
 
     times = [ev.time for ev in traj.events]
@@ -55,10 +53,11 @@ def test_criterion_1_reference_switch_table():
     for got, expected in zip(times, REFERENCE_SWITCH_TIMES):
         if abs(got - expected) > 5e-5:  # equality to 4 decimal places
             failures.append(f"switch at {got:.6f}, expected {expected:.4f}")
+    dt = cfg.mode.stages(cfg.control)[0].dt
     for a, b in zip(times, times[1:]):
         if abs((b - a) - 0.95) > 1e-12:
             failures.append(f"spacing {b - a!r} != 0.95")
-        if round((b - a) / cfg.grid.dt) != 19:
+        if round((b - a) / dt) != 19:
             failures.append(f"spacing {b - a!r} is not 19 grid steps")
     if elapsed > 1.0:
         failures.append(f"run took {elapsed:.2f}s, expected well under 1s")
@@ -94,17 +93,17 @@ def test_criterion_3_interior_mass_identity():
     rng = np.random.default_rng(55)
     for _ in range(100):
         cells = int(rng.integers(2, 81))
-        grid = GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=float(rng.uniform(1e-4, 0.5)))
+        grid, dt = GridSpec(cells=cells), float(rng.uniform(1e-4, 0.5))
         alpha = float(rng.uniform(0.01, 10.0))
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
         state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
         before = mass(state, grid, QuadratureKind.RIEMANN_INTERIOR)
-        after = mass(step(state, flux, grid, alpha), grid, QuadratureKind.RIEMANN_INTERIOR)
-        expected = 2.0 * alpha * grid.dt * float(flux)
+        after = mass(step(state, flux, grid, dt, alpha), grid, QuadratureKind.RIEMANN_INTERIOR)
+        expected = 2.0 * alpha * dt * float(flux)
         if abs((after - before) - expected) > 1e-11:
             failures.append(
                 f"increment {after - before!r} vs {expected!r} "
-                f"(J={cells}, dt={grid.dt}, alpha={alpha}, s={int(flux)})"
+                f"(J={cells}, dt={dt}, alpha={alpha}, s={int(flux)})"
             )
     _finish("criterion 3 (interior mass identity)", failures)
 
@@ -126,11 +125,11 @@ def test_criterion_4_adaptive_grid_exactness():
             cells = int(rng.integers(2, 41))
             cfg = RunConfig(
                 control=control,
-                grid=GridSpec(cells=cells, steps=mode.first_stage_steps, dx=1.0 / cells, dt=1.0),
+                grid=GridSpec(cells=cells),
                 quadrature=QuadratureKind.RIEMANN_INTERIOR,
                 mode=mode,
             )
-            traj = run_adaptive_grid(cfg)
+            traj = run(cfg)
             if len(traj.events) < 10:
                 failures.append(f"only {len(traj.events)} switches (alpha={alpha})")
                 continue
@@ -165,11 +164,11 @@ def test_criterion_5a_switch_lag_ladder_randomized():
         steps = int(rng.integers(100, 800))
         cfg = RunConfig(
             control=control,
-            grid=GridSpec.uniform(cells=30, steps=steps, horizon=horizon),
+            grid=GridSpec(cells=30),
             quadrature=QuadratureKind.RIEMANN_INTERIOR,
-            mode=FixedGrid(),
+            mode=FixedGrid(steps=steps),
         )
-        report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+        report = compare_with_oracle(run(cfg), cfg)
         for row in report.events:
             if not (-1e-9 <= row.error < row.bound):
                 failures.append(
@@ -184,7 +183,7 @@ def test_criterion_5b_reference_lag_nonincreasing_over_refinement():
     worst = []
     for steps in (200, 400, 800):
         cfg = reference_config(QuadratureKind.RIEMANN_INTERIOR, steps=steps)
-        report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+        report = compare_with_oracle(run(cfg), cfg)
         if not report.events:
             failures.append(f"no switches at N={steps}")
             continue
@@ -246,16 +245,16 @@ def test_criterion_7_property_bundle():
     for cells in (6, 25):
         half = rng.uniform(-1.0, 1.0, cells // 2 + 1)
         values = np.concatenate([half, half[: (cells + 1) // 2][::-1]])
-        grid = GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=0.02)
+        grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            out = step(FieldState(values=values, time=0.0), flux, grid, 0.8)
+            out = step(FieldState(values=values, time=0.0), flux, grid, 0.02, 0.8)
             gap = float(np.max(np.abs(out.values - out.values[::-1])))
             if gap > 1e-12:
                 failures.append(f"mirror symmetry broken by {gap!r} (J={cells}, s={int(flux)})")
 
     # quadrature difference identity
     for cells in (2, 17, 50):
-        grid = GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=0.1)
+        grid = GridSpec(cells=cells)
         for _ in range(50):
             state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
             trap = mass(state, grid, QuadratureKind.TRAPEZOID)
@@ -287,7 +286,7 @@ def test_criterion_8_phase_shape_checks():
     failures: list[str] = []
     for quadrature in (QuadratureKind.TRAPEZOID, QuadratureKind.RIEMANN_INTERIOR):
         cfg = reference_config(quadrature, stride=1)
-        traj = run_fixed_grid(cfg)
+        traj = run(cfg)
         fluxes = traj.fluxes
         boundaries = [0] + [i + 1 for i in range(len(fluxes) - 1) if fluxes[i + 1] != fluxes[i]]
         boundaries.append(len(fluxes))
@@ -300,7 +299,7 @@ def test_criterion_8_phase_shape_checks():
                 failures.append(f"{quadrature.value}: draining max not falling at step {start}")
 
     cfg = reference_config(QuadratureKind.RIEMANN_INTERIOR, stride=1)
-    traj = run_fixed_grid(cfg)
+    traj = run(cfg)
     midpoint = np.array([s.values[25] for s in traj.snapshots])
     peaks = [
         i for i in range(1, len(midpoint) - 1)
@@ -310,7 +309,8 @@ def test_criterion_8_phase_shape_checks():
         failures.append(f"expected several midpoint peaks, found {len(peaks)}")
     separations = np.diff(traj.times[peaks])
     period = 2.0 * switch_spacing(cfg.control)
+    dt = cfg.mode.stages(cfg.control)[0].dt
     for sep in separations:
-        if abs(sep - period) > 2.0 * cfg.grid.dt + 1e-9:
-            failures.append(f"midpoint peaks {sep!r} apart, expected {period} +- {2 * cfg.grid.dt}")
+        if abs(sep - period) > 2.0 * dt + 1e-9:
+            failures.append(f"midpoint peaks {sep!r} apart, expected {period} +- {2 * dt}")
     _finish("criterion 8 (phase shape checks)", failures)

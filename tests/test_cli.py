@@ -49,8 +49,8 @@ def test_parse_reference_config():
     assert cfg.control.diffusivity == 0.05
     assert cfg.control.horizon == 10.0
     assert cfg.grid.cells == 50
-    assert cfg.grid.steps == 200
-    assert cfg.grid.dt == pytest.approx(0.05)
+    assert cfg.mode.steps == 200
+    assert cfg.mode.stages(cfg.control)[0].dt == pytest.approx(0.05)
     assert cfg.quadrature is QuadratureKind.TRAPEZOID
     assert isinstance(cfg.mode, FixedGrid)
     assert cfg.snapshot_stride == 0
@@ -63,7 +63,7 @@ def test_parse_adaptive_config():
     assert cfg.mode.stage_steps == 5
     # adaptive mode defaults to the quadrature it requires
     assert cfg.quadrature is QuadratureKind.RIEMANN_INTERIOR
-    assert cfg.grid.dt == pytest.approx(0.01)
+    assert cfg.mode.stages(cfg.control)[0].dt == pytest.approx(0.01)
 
 
 @pytest.mark.parametrize(
@@ -103,6 +103,19 @@ def test_invalid_fixed_config_names_offending_key(patch, key):
 )
 def test_invalid_adaptive_config_names_offending_key(patch, key):
     raw = {**ADAPTIVE, **patch}
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_mapping(raw)
+    assert excinfo.value.key == key
+
+
+@pytest.mark.parametrize(
+    "raw,key",
+    [
+        ({**REFERENCE, "alpha": float("nan")}, "alpha"),
+        ({**ADAPTIVE, "horizon": float("inf")}, "horizon"),
+    ],
+)
+def test_non_finite_values_are_rejected(raw, key):
     with pytest.raises(ConfigError) as excinfo:
         config_from_mapping(raw)
     assert excinfo.value.key == key
@@ -186,7 +199,7 @@ def test_emitted_snapshots_show_rising_profiles_during_first_stage(tmp_path):
     times = sorted(profiles)
     assert times == sorted(set(np.round(traj.times, 10)))
     first_switch = report.events[0].computed_time
-    dt = cfg.grid.dt
+    dt = cfg.mode.stages(cfg.control)[0].dt
     stage = [t for t in times if 3 * dt < t <= first_switch + 1e-12]
     maxima = [max(profiles[t]) for t in stage]
     assert all(b > a for a, b in zip(maxima, maxima[1:]))
@@ -219,6 +232,17 @@ def test_cli_rejects_bad_config_with_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("massgate: config error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_rejects_nan_override_with_diagnostic(tmp_path, capsys):
+    config_path = write_config(tmp_path, REFERENCE)
+    code = main(
+        ["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--set", "alpha=NaN"]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error: alpha:")
     assert len(err.strip().splitlines()) == 1
 
 

@@ -36,7 +36,6 @@ def test_switch_at_exactly_lower_threshold():
     ctrl = ControllerState(
         phase=FluxSign.OUTFLOW,
         events=(SwitchEvent(1, 0.5, 0.2, CrossingDirection.REACHED_UPPER),),
-        next_index=2,
     )
     new, flux = observe(ctrl, 0.1, 1.0, CONTROL)
     assert flux is FluxSign.INFLOW
@@ -56,7 +55,6 @@ def test_overshoot_past_lower_threshold_switches():
     ctrl = ControllerState(
         phase=FluxSign.OUTFLOW,
         events=(SwitchEvent(1, 0.5, 0.2, CrossingDirection.REACHED_UPPER),),
-        next_index=2,
     )
     new, flux = observe(ctrl, 0.04, 1.0, CONTROL)
     assert flux is FluxSign.INFLOW
@@ -127,4 +125,3 @@ def test_initial_state_defaults():
     ctrl = ControllerState()
     assert ctrl.phase is FluxSign.INFLOW
     assert ctrl.events == ()
-    assert ctrl.next_index == 1

@@ -6,7 +6,7 @@ from massgate.stepper import FieldState, GridSpec
 
 
 def make_grid(cells: int) -> GridSpec:
-    return GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=0.1)
+    return GridSpec(cells=cells)
 
 
 def sampled(fn, grid: GridSpec) -> FieldState:

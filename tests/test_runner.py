@@ -12,8 +12,6 @@ from massgate.runner import (
     Trajectory,
     compare_with_oracle,
     run,
-    run_adaptive_grid,
-    run_fixed_grid,
 )
 from massgate.stepper import GridSpec
 
@@ -24,9 +22,9 @@ def reference_config(quadrature: QuadratureKind, stride: int = 0) -> RunConfig:
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
     return RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=50, steps=200, horizon=10.0),
+        grid=GridSpec(cells=50),
         quadrature=quadrature,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=200),
         snapshot_stride=stride,
     )
 
@@ -41,14 +39,14 @@ def random_fixed_config(rng: np.random.Generator, crossings: int = 6) -> RunConf
     steps = int(rng.integers(50, 900))
     return RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=20, steps=steps, horizon=horizon),
+        grid=GridSpec(cells=20),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=steps),
     )
 
 
 def test_trapezoid_fixed_grid_reproduces_reference_switch_times():
-    traj = run_fixed_grid(reference_config(QuadratureKind.TRAPEZOID))
+    traj = run(reference_config(QuadratureKind.TRAPEZOID))
     times = [ev.time for ev in traj.events]
     assert len(times) == 9
     assert np.allclose(times, REFERENCE_SWITCH_TIMES, atol=1e-10)
@@ -60,7 +58,7 @@ def test_riemann_fixed_grid_detects_exact_grid_hits():
     # step 40 exactly and every 20 steps after that; detected switches are
     # the closed-form ones.
     cfg = reference_config(QuadratureKind.RIEMANN_INTERIOR)
-    traj = run_fixed_grid(cfg)
+    traj = run(cfg)
     times = [ev.time for ev in traj.events]
     assert len(times) == 9
     assert np.allclose(times, np.arange(2.0, 11.0), atol=1e-11)
@@ -71,13 +69,28 @@ def test_single_step_run_without_crossings():
     control = ControlConfig(lower=1.0, upper=5.0, diffusivity=0.05, horizon=10.0)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=10, steps=1, horizon=10.0),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=1),
     )
-    traj = run_fixed_grid(cfg)
+    traj = run(cfg)
     assert len(traj.times) == 1
     assert traj.events == ()
+
+
+def test_fixed_grid_times_are_exact_step_multiples():
+    # Times are stamped from the step index, so a long run does not drift
+    # the way a running sum of dt does.
+    control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
+    steps = 20000
+    cfg = RunConfig(
+        control=control,
+        grid=GridSpec(cells=2),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=FixedGrid(steps=steps),
+    )
+    dt = cfg.mode.stages(control)[0].dt
+    assert np.array_equal(run(cfg).times, dt * np.arange(1, steps + 1))
 
 
 def test_riemann_mass_trace_is_piecewise_linear_in_steps():
@@ -85,8 +98,8 @@ def test_riemann_mass_trace_is_piecewise_linear_in_steps():
         reference_config(QuadratureKind.RIEMANN_INTERIOR),
         random_fixed_config(np.random.default_rng(3)),
     ):
-        traj = run_fixed_grid(cfg)
-        rate_dt = 2.0 * cfg.control.diffusivity * cfg.grid.dt
+        traj = run(cfg)
+        rate_dt = 2.0 * cfg.control.diffusivity * cfg.mode.stages(cfg.control)[0].dt
         expected = np.cumsum(rate_dt * traj.fluxes)
         assert np.max(np.abs(traj.masses - expected)) <= 1e-11
 
@@ -98,11 +111,12 @@ def test_detection_lag_bounds_randomized():
     rng = np.random.default_rng(12345)
     for _ in range(40):
         cfg = random_fixed_config(rng)
-        report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+        report = compare_with_oracle(run(cfg), cfg)
+        dt = cfg.mode.stages(cfg.control)[0].dt
         assert report.events
         for row in report.events:
             assert row.error >= -1e-9
-            assert row.error < (2 * row.index - 1) * cfg.grid.dt
+            assert row.error < (2 * row.index - 1) * dt
 
 
 def test_detection_lag_vanishes_with_time_refinement():
@@ -111,14 +125,15 @@ def test_detection_lag_vanishes_with_time_refinement():
     for steps in (200, 800, 3200):
         cfg = RunConfig(
             control=control,
-            grid=GridSpec.uniform(cells=50, steps=steps, horizon=10.0),
+            grid=GridSpec(cells=50),
             quadrature=QuadratureKind.RIEMANN_INTERIOR,
-            mode=FixedGrid(),
+            mode=FixedGrid(steps=steps),
         )
-        report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+        report = compare_with_oracle(run(cfg), cfg)
+        dt = cfg.mode.stages(cfg.control)[0].dt
         assert len(report.events) == 7
         for row in report.events:
-            assert -1e-9 <= row.error < (2 * row.index - 1) * cfg.grid.dt
+            assert -1e-9 <= row.error < (2 * row.index - 1) * dt
         worst[steps] = report.max_abs_error
     assert worst[3200] < worst[800] < worst[200]
     assert worst[3200] < 0.02
@@ -128,11 +143,11 @@ def test_adaptive_grid_reproduces_closed_form_switches():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec(cells=10, steps=10, dx=0.1, dt=0.01),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
         mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
     )
-    traj = run_adaptive_grid(cfg)
+    traj = run(cfg)
     assert len(traj.events) >= 3
     for ev, expected_time in zip(traj.events, (0.1, 0.15, 0.2)):
         assert abs(ev.time - expected_time) <= 1e-10
@@ -151,28 +166,66 @@ def test_adaptive_event_spacing_matches_closed_form():
         control = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon)
         cfg = RunConfig(
             control=control,
-            grid=GridSpec(cells=12, steps=1, dx=1.0 / 12.0, dt=1.0),
+            grid=GridSpec(cells=12),
             quadrature=QuadratureKind.RIEMANN_INTERIOR,
             mode=AdaptiveGrid(
                 first_stage_steps=int(rng.integers(1, 9)),
                 stage_steps=int(rng.integers(1, 9)),
             ),
         )
-        traj = run_adaptive_grid(cfg)
+        traj = run(cfg)
         assert len(traj.events) >= 6
         spacings = np.diff([ev.time for ev in traj.events])
         assert np.max(np.abs(spacings - switch_spacing(control))) <= 1e-10
+
+
+def test_adaptive_schedule_stops_on_switch_at_horizon():
+    # With the horizon on the K-th closed-form switch, the run takes the
+    # climb plus K - 1 full stages and not one step more, even where the
+    # stamped step end rounds just below the horizon.
+    rng = np.random.default_rng(404)
+    cases = [(2, 2, 0.0989068234375242, 0.1978136468750484, 0.0494534117187621, 9999)]
+    for _ in range(60):
+        upper = float(rng.uniform(0.05, 1.0))
+        cases.append((
+            int(rng.integers(1, 13)),
+            int(rng.integers(1, 13)),
+            upper * float(rng.uniform(0.1, 0.9)),
+            upper,
+            float(rng.uniform(0.02, 3.0)),
+            int(rng.integers(1, 40)),
+        ))
+    for first, later, lower, upper, alpha, k in cases:
+        probe = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=1.0)
+        control = ControlConfig(
+            lower=lower, upper=upper, diffusivity=alpha, horizon=switch_time(k, probe)
+        )
+        stages = AdaptiveGrid(first_stage_steps=first, stage_steps=later).stages(control)
+        assert sum(stage.steps for stage in stages) == first + (k - 1) * later
+
+    first, later, lower, upper, alpha, k = cases[1]
+    probe = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=1.0)
+    horizon = switch_time(k, probe)
+    cfg = RunConfig(
+        control=ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon),
+        grid=GridSpec(cells=12),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=AdaptiveGrid(first_stage_steps=first, stage_steps=later),
+    )
+    traj = run(cfg)
+    assert len(traj.times) == first + (k - 1) * later
+    assert traj.events[-1].index == k
 
 
 def test_adaptive_single_giant_first_step_hits_threshold():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.12)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec(cells=8, steps=1, dx=0.125, dt=0.1),
+        grid=GridSpec(cells=8),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
         mode=AdaptiveGrid(first_stage_steps=1, stage_steps=3),
     )
-    traj = run_adaptive_grid(cfg)
+    traj = run(cfg)
     assert traj.events
     assert abs(traj.events[0].time - switch_time(1, control)) <= 1e-12
     assert abs(traj.events[0].mass_at_switch - control.upper) <= 1e-12
@@ -180,14 +233,13 @@ def test_adaptive_single_giant_first_step_hits_threshold():
 
 def test_adaptive_requires_interior_riemann_quadrature():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
-    cfg = RunConfig(
-        control=control,
-        grid=GridSpec(cells=10, steps=10, dx=0.1, dt=0.01),
-        quadrature=QuadratureKind.TRAPEZOID,
-        mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
-    )
     with pytest.raises(ValueError):
-        run_adaptive_grid(cfg)
+        RunConfig(
+            control=control,
+            grid=GridSpec(cells=10),
+            quadrature=QuadratureKind.TRAPEZOID,
+            mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
+        )
 
 
 def test_mode_dispatch():
@@ -195,22 +247,18 @@ def test_mode_dispatch():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     adaptive = RunConfig(
         control=control,
-        grid=GridSpec(cells=10, steps=10, dx=0.1, dt=0.01),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
         mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
     )
-    with pytest.raises(ValueError):
-        run_fixed_grid(adaptive)
-    with pytest.raises(ValueError):
-        run_adaptive_grid(fixed)
     assert len(run(fixed).events) == 9
     assert len(run(adaptive).events) >= 3
 
 
 def test_runs_are_deterministic():
     cfg = reference_config(QuadratureKind.TRAPEZOID, stride=7)
-    first = run_fixed_grid(cfg)
-    second = run_fixed_grid(cfg)
+    first = run(cfg)
+    second = run(cfg)
     assert np.array_equal(first.times, second.times)
     assert np.array_equal(first.masses, second.masses)
     assert np.array_equal(first.fluxes, second.fluxes)
@@ -223,17 +271,17 @@ def test_runs_are_deterministic():
 
 def test_snapshot_stride():
     cfg = reference_config(QuadratureKind.TRAPEZOID)
-    assert run_fixed_grid(cfg).snapshots == ()
+    assert run(cfg).snapshots == ()
 
     control = ControlConfig(lower=1.0, upper=5.0, diffusivity=0.05, horizon=1.0)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=10, steps=20, horizon=1.0),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=20),
         snapshot_stride=3,
     )
-    traj = run_fixed_grid(cfg)
+    traj = run(cfg)
     assert len(traj.snapshots) == 6
     expected = [0.15, 0.30, 0.45, 0.60, 0.75, 0.90]
     assert np.allclose([s.time for s in traj.snapshots], expected, atol=1e-12)
@@ -241,7 +289,7 @@ def test_snapshot_stride():
 
 def test_compare_reports_trapezoid_discrepancy():
     cfg = reference_config(QuadratureKind.TRAPEZOID)
-    report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+    report = compare_with_oracle(run(cfg), cfg)
     first = report.events[0]
     assert first.index == 1
     assert abs(first.error + 0.05) <= 1e-12
@@ -253,7 +301,7 @@ def test_compare_reports_trapezoid_discrepancy():
 
 def test_compare_riemann_all_within_bound():
     cfg = reference_config(QuadratureKind.RIEMANN_INTERIOR)
-    report = compare_with_oracle(run_fixed_grid(cfg), cfg)
+    report = compare_with_oracle(run(cfg), cfg)
     assert report.events
     assert all(row.within_bound for row in report.events)
     assert report.max_abs_error <= 1e-12
@@ -263,11 +311,11 @@ def test_compare_adaptive_errors_are_zero():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec(cells=10, steps=10, dx=0.1, dt=0.01),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
         mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
     )
-    report = compare_with_oracle(run_adaptive_grid(cfg), cfg)
+    report = compare_with_oracle(run(cfg), cfg)
     assert report.events
     for row in report.events:
         assert abs(row.error) <= 1e-10
@@ -278,9 +326,9 @@ def test_spurious_event_raises_oracle_mismatch():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=1.0)
     cfg = RunConfig(
         control=control,
-        grid=GridSpec.uniform(cells=10, steps=100, horizon=1.0),
+        grid=GridSpec(cells=10),
         quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(),
+        mode=FixedGrid(steps=100),
     )
     bogus = Trajectory(
         times=np.array([0.9]),
@@ -320,8 +368,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(
             control=ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=1.0),
-            grid=GridSpec(cells=4, steps=1, dx=0.25, dt=0.1),
+            grid=GridSpec(cells=4),
             quadrature=QuadratureKind.TRAPEZOID,
-            mode=FixedGrid(),
+            mode=FixedGrid(steps=1),
             snapshot_stride=-1,
         )

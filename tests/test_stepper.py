@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from massgate.runner import FixedGrid
 from massgate.stepper import (
     FieldState,
     FluxSign,
@@ -23,9 +24,9 @@ def random_state(rng: np.random.Generator, cells: int) -> FieldState:
 def test_assemble_matches_hand_derivation():
     # cells=3, nu=1: eliminating the end values leaves diag (2, 2),
     # off-diagonals (-1, -1) and rhs (dx, dx) for the zero field.
-    grid = GridSpec(cells=3, steps=1, dx=1.0 / 3.0, dt=1.0 / 9.0)
-    assert diffusion_number(grid, 1.0) == pytest.approx(1.0)
-    system = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, 1.0)
+    grid, dt = GridSpec(cells=3), 1.0 / 9.0
+    assert diffusion_number(grid, dt, 1.0) == pytest.approx(1.0)
+    system = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, dt, 1.0)
     assert np.allclose(system.diag, [2.0, 2.0])
     assert np.allclose(system.sub, [-1.0])
     assert np.allclose(system.sup, [-1.0])
@@ -33,23 +34,23 @@ def test_assemble_matches_hand_derivation():
 
 
 def test_assemble_rhs_flips_with_flux_sign():
-    grid = GridSpec(cells=3, steps=1, dx=1.0 / 3.0, dt=1.0 / 9.0)
-    plus = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, 1.0)
-    minus = assemble(FieldState.zero(grid), FluxSign.OUTFLOW, grid, 1.0)
+    grid, dt = GridSpec(cells=3), 1.0 / 9.0
+    plus = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, dt, 1.0)
+    minus = assemble(FieldState.zero(grid), FluxSign.OUTFLOW, grid, dt, 1.0)
     assert np.allclose(minus.rhs, -plus.rhs)
     assert np.allclose(minus.diag, plus.diag)
 
 
 def test_step_increments_interior_mass_by_rate_times_dt():
-    grid = GridSpec(cells=4, steps=1, dx=0.25, dt=0.01)
-    new = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 1.0)
+    grid = GridSpec(cells=4)
+    new = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.01, 1.0)
     assert interior_mass(new, grid.dx) == pytest.approx(0.02, abs=1e-13)
 
 
 def test_inflow_then_outflow_cancels_interior_mass():
-    grid = GridSpec(cells=7, steps=1, dx=1.0 / 7.0, dt=0.03)
-    first = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.7)
-    second = step(first, FluxSign.OUTFLOW, grid, 0.7)
+    grid = GridSpec(cells=7)
+    first = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.03, 0.7)
+    second = step(first, FluxSign.OUTFLOW, grid, 0.03, 0.7)
     assert abs(interior_mass(second, grid.dx)) <= 1e-12
 
 
@@ -57,20 +58,20 @@ def test_mass_identity_for_random_states():
     rng = np.random.default_rng(123)
     for _ in range(100):
         cells = int(rng.integers(2, 81))
-        grid = GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=float(rng.uniform(1e-4, 0.5)))
+        grid, dt = GridSpec(cells=cells), float(rng.uniform(1e-4, 0.5))
         alpha = float(rng.uniform(0.01, 10.0))
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
         state = random_state(rng, cells)
-        new = step(state, flux, grid, alpha)
+        new = step(state, flux, grid, dt, alpha)
         increment = interior_mass(new, grid.dx) - interior_mass(state, grid.dx)
-        assert abs(increment - 2.0 * alpha * grid.dt * float(flux)) <= 1e-11
+        assert abs(increment - 2.0 * alpha * dt * float(flux)) <= 1e-11
 
 
 def test_boundary_slopes_match_flux_sign():
     rng = np.random.default_rng(8)
-    grid = GridSpec(cells=20, steps=1, dx=0.05, dt=0.02)
+    grid = GridSpec(cells=20)
     for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-        new = step(random_state(rng, 20), flux, grid, 0.3)
+        new = step(random_state(rng, 20), flux, grid, 0.02, 0.3)
         u = new.values
         assert abs((u[1] - u[0]) / grid.dx - (-float(flux))) <= 1e-10
         assert abs((u[-1] - u[-2]) / grid.dx - float(flux)) <= 1e-10
@@ -78,11 +79,11 @@ def test_boundary_slopes_match_flux_sign():
 
 def test_interior_rows_satisfy_implicit_scheme():
     rng = np.random.default_rng(17)
-    grid = GridSpec(cells=12, steps=1, dx=1.0 / 12.0, dt=0.04)
+    grid, dt = GridSpec(cells=12), 0.04
     alpha = 2.5
-    nu = diffusion_number(grid, alpha)
+    nu = diffusion_number(grid, dt, alpha)
     state = random_state(rng, 12)
-    new = step(state, FluxSign.OUTFLOW, grid, alpha)
+    new = step(state, FluxSign.OUTFLOW, grid, dt, alpha)
     u = new.values
     for j in range(1, 12):
         lhs = -nu * u[j - 1] + (1.0 + 2.0 * nu) * u[j] - nu * u[j + 1]
@@ -96,18 +97,18 @@ def test_mirror_symmetric_input_stays_symmetric():
         values = np.concatenate([half, half[: (cells + 1) // 2][::-1]])
         assert len(values) == cells + 1
         assert np.array_equal(values, values[::-1])
-        grid = GridSpec(cells=cells, steps=1, dx=1.0 / cells, dt=0.01)
+        grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            new = step(FieldState(values=values, time=0.0), flux, grid, 1.3)
+            new = step(FieldState(values=values, time=0.0), flux, grid, 0.01, 1.3)
             assert np.max(np.abs(new.values - new.values[::-1])) <= 1e-12
 
 
 def test_constant_field_adds_response_of_zero_field():
-    grid = GridSpec(cells=9, steps=1, dx=1.0 / 9.0, dt=0.05)
+    grid = GridSpec(cells=9)
     c = 0.8
     constant = FieldState(values=np.full(10, c), time=0.0)
-    from_constant = step(constant, FluxSign.INFLOW, grid, 1.0)
-    from_zero = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 1.0)
+    from_constant = step(constant, FluxSign.INFLOW, grid, 0.05, 1.0)
+    from_zero = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.05, 1.0)
     assert np.max(np.abs(from_constant.values - (c + from_zero.values))) <= 1e-12
 
 
@@ -117,10 +118,10 @@ def test_high_coupling_stays_monotone():
     for nu in (1.0, 1e2, 1e4):
         cells = 10
         dx = 1.0 / cells
-        grid = GridSpec(cells=cells, steps=1, dx=dx, dt=nu * dx**2)
+        grid = GridSpec(cells=cells)
         state = FieldState.zero(grid)
         for n in range(1, 11):
-            state = step(state, FluxSign.INFLOW, grid, 1.0)
+            state = step(state, FluxSign.INFLOW, grid, nu * dx**2, 1.0)
             if n > 3:
                 assert np.min(state.values[1:-1]) >= -1e-12
 
@@ -131,10 +132,10 @@ def test_refinement_consistency():
     final_time = 0.1
     fields = {}
     for cells, steps in ((8, 16), (16, 64), (32, 256), (64, 1024)):
-        grid = GridSpec.uniform(cells=cells, steps=steps, horizon=final_time)
+        grid = GridSpec(cells=cells)
         state = FieldState.zero(grid)
         for _ in range(steps):
-            state = step(state, FluxSign.INFLOW, grid, 1.0)
+            state = step(state, FluxSign.INFLOW, grid, final_time / steps, 1.0)
         fields[cells] = state.values
     gaps = []
     for coarse, fine in ((8, 16), (16, 32), (32, 64)):
@@ -144,28 +145,25 @@ def test_refinement_consistency():
 
 
 def test_step_advances_time_by_dt():
-    grid = GridSpec(cells=4, steps=1, dx=0.25, dt=0.125)
+    grid = GridSpec(cells=4)
     state = FieldState(values=np.zeros(5), time=1.5)
-    assert step(state, FluxSign.INFLOW, grid, 1.0).time == pytest.approx(1.625)
+    assert step(state, FluxSign.INFLOW, grid, 0.125, 1.0).time == pytest.approx(1.625)
 
 
 def test_grid_validation():
     with pytest.raises(ValueError):
-        GridSpec(cells=1, steps=1, dx=1.0, dt=0.1)
+        GridSpec(cells=1)
     with pytest.raises(ValueError):
-        GridSpec(cells=4, steps=0, dx=0.25, dt=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(cells=4, steps=1, dx=0.3, dt=0.1)
-    with pytest.raises(ValueError):
-        GridSpec(cells=4, steps=1, dx=0.25, dt=0.0)
+        FixedGrid(steps=0)
+    assert GridSpec(cells=4).dx == 0.25
 
 
 def test_field_length_validation():
-    grid = GridSpec(cells=4, steps=1, dx=0.25, dt=0.1)
+    grid = GridSpec(cells=4)
     with pytest.raises(ValueError):
-        assemble(FieldState(values=np.zeros(4), time=0.0), FluxSign.INFLOW, grid, 1.0)
+        assemble(FieldState(values=np.zeros(4), time=0.0), FluxSign.INFLOW, grid, 0.1, 1.0)
 
 
 def test_grid_points():
-    grid = GridSpec(cells=4, steps=1, dx=0.25, dt=0.1)
+    grid = GridSpec(cells=4)
     assert np.allclose(grid.points, [0.0, 0.25, 0.5, 0.75, 1.0])
