@@ -32,12 +32,12 @@ from .stepper import (
     FieldState,
     FluxSign,
     GridSpec,
-    SolverFailure,
+    StepMatrix,
     assemble,
     diffusion_number,
     step,
 )
-from .tridiag import SingularPivot, TridiagonalSystem, solve
+from .tridiag import SingularPivot, TridiagonalMatrix, solve
 
 __version__ = "0.1.0"
 
@@ -57,11 +57,11 @@ __all__ = [
     "QuadratureKind",
     "RunConfig",
     "SingularPivot",
-    "SolverFailure",
+    "StepMatrix",
     "SwitchEvent",
     "THRESHOLD_ATOL",
     "Trajectory",
-    "TridiagonalSystem",
+    "TridiagonalMatrix",
     "assemble",
     "compare_with_oracle",
     "diffusion_number",

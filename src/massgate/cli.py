@@ -80,11 +80,11 @@ def config_from_mapping(raw: dict) -> RunConfig:
     cells = _require(raw, "J", integer=True)
 
     mode_name = raw.get("mode", "fixed")
-    if mode_name not in _MODES:
+    if not isinstance(mode_name, str) or mode_name not in _MODES:
         raise ConfigError("mode", f"must be one of {sorted(_MODES)}, got {mode_name!r}")
 
     quad_name = raw.get("quadrature", "trapezoid" if mode_name == "fixed" else "riemann")
-    if quad_name not in _QUADRATURES:
+    if not isinstance(quad_name, str) or quad_name not in _QUADRATURES:
         raise ConfigError("quadrature", f"must be one of {sorted(_QUADRATURES)}, got {quad_name!r}")
 
     stride = _require(raw, "snapshot_stride", integer=True, default=0)
@@ -179,7 +179,8 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places;
-    rows ascend in time.  Raises OSError on unwritable paths.
+    rows ascend in time.  All snapshots must share one spatial grid, as
+    those of one run do.  Raises OSError on unwritable paths.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -198,17 +199,19 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
     path = out / "mass.csv"
     with path.open("w", encoding="utf-8") as f:
         f.write("time,mass,flux\n")
-        for t, mu, s in zip(traj.times, traj.masses, traj.fluxes):
+        for t, mu, s in zip(traj.times.tolist(), traj.masses.tolist(), traj.fluxes.tolist()):
             f.write(f"{_fmt(t)},{_fmt(mu)},{s:d}\n")
     written.append(path)
 
     path = out / "snapshots.csv"
     with path.open("w", encoding="utf-8") as f:
         f.write("time,x,u\n")
-        for snap in traj.snapshots:
-            cells = len(snap.values) - 1
-            for j, u in enumerate(snap.values):
-                f.write(f"{_fmt(snap.time)},{_fmt(j / cells)},{_fmt(u)}\n")
+        if traj.snapshots:
+            cells = len(traj.snapshots[0].values) - 1
+            # one row per node: the snapshot time, then x_j, then u_j
+            rows = "".join(f"{{0}},{_fmt(j / cells)},{{{j + 1}:.10f}}\n" for j in range(cells + 1))
+            for snap in traj.snapshots:
+                f.write(rows.format(_fmt(snap.time), *snap.values.tolist()))
     written.append(path)
 
     path = out / "report.json"

@@ -26,7 +26,7 @@ from . import analytic
 from .analytic import ConfigError, ControlConfig
 from .controller import ControllerState, SwitchEvent, observe
 from .quadrature import QuadratureKind, mass
-from .stepper import FieldState, GridSpec, step
+from .stepper import FieldState, GridSpec, assemble, step
 
 log = logging.getLogger(__name__)
 
@@ -167,11 +167,11 @@ class OracleMismatch(RuntimeError):
 def run(config: RunConfig) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
-    After each step the mass is evaluated with the configured quadrature
-    and fed to the relay; the resulting flip, if any, takes effect on the
-    next step.  Step i of a stage is stamped start + i * dt, so the times
-    carry no running-sum drift.  Deterministic: identical configs give
-    identical output.
+    Each stage assembles its step matrix once.  After each step the mass
+    is evaluated with the configured quadrature and fed to the relay; the
+    resulting flip, if any, takes effect on the next step.  Step i of a
+    stage is stamped start + i * dt, so the times carry no running-sum
+    drift.  Deterministic: identical configs give identical output.
     """
     grid = config.grid
     control = config.control
@@ -188,9 +188,10 @@ def run(config: RunConfig) -> Trajectory:
 
     n = 0
     for stage in stages:
+        matrix = assemble(grid, stage.dt, control.diffusivity)
         for i in range(1, stage.steps + 1):
             time = stage.start + i * stage.dt
-            state = step(state, flux, grid, stage.dt, control.diffusivity)
+            state = step(state, flux, matrix)
             mu = mass(state, grid, config.quadrature)
             times[n] = time
             masses[n] = mu

@@ -10,6 +10,11 @@ rows leaves a tridiagonal system over U_1..U_{J-1} with interior stencil
 (-nu, 1 + 2*nu, -nu), nu = diffusivity * dt / dx^2; the end values are
 reconstructed from the flux conditions after the solve.
 
+The matrix depends only on the grid, dt and the diffusivity, and the flux
+enters through the right-hand side alone.  ``assemble`` therefore builds
+and factors it once per time-grid stage, and each ``step`` is one forward
+and back substitution against those factors.
+
 The interior mass dx * sum(U_1..U_{J-1}) gains exactly
 2 * diffusivity * dt * s per step (the stencil telescopes down to the two
 boundary slopes), which is what makes threshold hits on specially chosen
@@ -24,7 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .analytic import ConfigError
-from .tridiag import SingularPivot, TridiagonalSystem, solve
+from .tridiag import TridiagonalMatrix, solve
 
 
 class FluxSign(IntEnum):
@@ -35,10 +40,6 @@ class FluxSign(IntEnum):
 
     def flipped(self) -> "FluxSign":
         return FluxSign(-int(self))
-
-
-class SolverFailure(RuntimeError):
-    """The tridiagonal solve failed (unreachable for nu > 0)."""
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,22 @@ def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     return diffusivity * dt / grid.dx**2
 
 
-def assemble(
-    state: FieldState, flux: FluxSign, grid: GridSpec, dt: float, diffusivity: float
-) -> TridiagonalSystem:
-    """Implicit system for the J-1 interior unknowns at the new time level.
+@dataclass(frozen=True, eq=False)
+class StepMatrix:
+    """The factored step matrix of one grid, dt and diffusivity."""
+
+    system: TridiagonalMatrix
+    dt: float
+    dx: float
+    forcing: float  # nu * dx, the flux term of the end rows' right-hand side
+
+
+def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
+    """Build and factor the implicit matrix over the J-1 interior unknowns.
 
     Folding the eliminated end values into the first and last rows drops
-    those diagonal entries to 1 + nu and adds nu * dx * s to both ends of
-    the right-hand side.
+    those diagonal entries to 1 + nu.
     """
-    n = grid.cells + 1
-    if len(state.values) != n:
-        raise ValueError(f"field has {len(state.values)} values, grid expects {n}")
     nu = diffusion_number(grid, dt, diffusivity)
     unknowns = grid.cells - 1
 
@@ -99,31 +104,22 @@ def assemble(
     diag[0] -= nu
     diag[-1] -= nu
     off = np.full(unknowns - 1, -nu)
-    rhs = np.array(state.values[1:-1], dtype=float)
-    forcing = nu * grid.dx * float(flux)
+    return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), dt, grid.dx, nu * grid.dx)
+
+
+def step(state: FieldState, flux: FluxSign, matrix: StepMatrix) -> FieldState:
+    """Advance the field by the matrix's dt under the given flux sign.
+
+    The interior comes from the tridiagonal solve, with nu * dx * s added
+    to both ends of the right-hand side; the end values follow from the
+    one-sided flux conditions, so the discrete boundary slopes equal -s
+    and +s exactly.
+    """
+    forcing = matrix.forcing * flux
+    rhs = state.values[1:-1].tolist()
     rhs[0] += forcing
     rhs[-1] += forcing
-    return TridiagonalSystem(sub=off, diag=diag, sup=off.copy(), rhs=rhs)
-
-
-def step(
-    state: FieldState, flux: FluxSign, grid: GridSpec, dt: float, diffusivity: float
-) -> FieldState:
-    """Advance the field by dt under the given flux sign.
-
-    The interior comes from the tridiagonal solve; the end values follow
-    from the one-sided flux conditions, so the discrete boundary slopes
-    equal -s and +s exactly.
-    """
-    system = assemble(state, flux, grid, dt, diffusivity)
-    try:
-        interior = solve(system)
-    except SingularPivot as exc:
-        raise SolverFailure(f"implicit step failed at t={state.time}: {exc}") from exc
-
-    values = np.empty(grid.cells + 1)
-    values[1:-1] = interior
-    offset = grid.dx * float(flux)
-    values[0] = interior[0] + offset
-    values[-1] = interior[-1] + offset
-    return FieldState(values=values, time=state.time + dt)
+    interior = solve(matrix.system, rhs)
+    offset = matrix.dx * flux
+    values = np.array([interior[0] + offset, *interior, interior[-1] + offset])
+    return FieldState(values=values, time=state.time + matrix.dt)

@@ -1,4 +1,4 @@
-"""Thomas algorithm for tridiagonal linear systems.
+"""Thomas algorithm for tridiagonal linear systems, factored once.
 
 Solves A x = rhs where A is laid out as
 
@@ -8,15 +8,15 @@ Solves A x = rhs where A is laid out as
     [        ...            ]  ..       ..
     [           l_{n-2} d_{n-1}] [x_{n-1}] [r_{n-1}]
 
-with a single forward sweep and back substitution, no pivoting.  The
-implicit diffusion step assembles matrices with 1 + 2*nu on the diagonal
-and -nu off it (nu > 0), which are strictly diagonally dominant, so
-pivoting is unnecessary.
+without pivoting.  ``TridiagonalMatrix`` runs the forward elimination
+once; ``solve`` applies the stored multipliers and pivots to one rhs, in
+the operation order of a full sweep, so results match it to the last bit.
+The implicit diffusion step assembles matrices with 1 + 2*nu on the
+diagonal and -nu off it (nu > 0), which are strictly diagonally dominant,
+so pivoting is unnecessary.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,61 +29,61 @@ class SingularPivot(ArithmeticError):
     """Forward elimination hit a pivot below ``PIVOT_FLOOR``."""
 
 
-@dataclass(frozen=True)
-class TridiagonalSystem:
-    """One tridiagonal system of order n >= 1.
+class TridiagonalMatrix:
+    """A tridiagonal matrix of order n >= 1 and its elimination factors.
 
-    ``diag`` and ``rhs`` hold n entries, ``sub`` and ``sup`` the n - 1
-    off-diagonal entries.
+    ``diag`` holds n entries, ``sub`` and ``sup`` the n - 1 off-diagonal
+    entries.  Raises SingularPivot if any pivot falls below
+    ``PIVOT_FLOOR`` during elimination.
     """
 
-    sub: np.ndarray
-    diag: np.ndarray
-    sup: np.ndarray
-    rhs: np.ndarray
-
-    def __post_init__(self) -> None:
+    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
+        self.sub = np.asarray(sub, dtype=float)
+        self.diag = np.asarray(diag, dtype=float)
+        self.sup = np.asarray(sup, dtype=float)
         n = len(self.diag)
-        if n < 1:
-            raise ValueError("system order must be at least 1")
-        if len(self.rhs) != n:
-            raise ValueError(f"rhs has {len(self.rhs)} entries, expected {n}")
-        if len(self.sub) != n - 1 or len(self.sup) != n - 1:
-            raise ValueError(
-                f"off-diagonals must have {n - 1} entries, "
-                f"got sub={len(self.sub)}, sup={len(self.sup)}"
-            )
+        if n < 1 or len(self.sub) != n - 1 or len(self.sup) != n - 1:
+            raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries, got "
+                             f"sub={len(self.sub)}, diag={n}, sup={len(self.sup)}")
 
-    @property
-    def order(self) -> int:
-        return len(self.diag)
+        sub_f, pivots, sup_f = self.sub.tolist(), self.diag.tolist(), self.sup.tolist()
+        multipliers = []
+        for i in range(1, n):
+            pivot = pivots[i - 1]
+            if abs(pivot) < PIVOT_FLOOR:
+                raise SingularPivot(f"pivot {pivot:.3e} at row {i - 1}")
+            w = sub_f[i - 1] / pivot
+            pivots[i] -= w * sup_f[i - 1]
+            multipliers.append(w)
+        if abs(pivots[-1]) < PIVOT_FLOOR:
+            raise SingularPivot(f"pivot {pivots[-1]:.3e} at row {n - 1}")
+
+        self._multipliers = multipliers
+        self._last_pivot = pivots[-1]
+        # back substitution runs from row n - 2 down to row 0
+        self._back_sup = sup_f[::-1]
+        self._back_pivots = pivots[-2::-1]
 
 
-def solve(system: TridiagonalSystem) -> np.ndarray:
-    """Solve the system; returns the solution vector of length n.
+def solve(matrix: TridiagonalMatrix, rhs: list[float]) -> list[float]:
+    """Solve matrix @ x = rhs; returns x as a list of n floats.
 
-    Raises SingularPivot if any pivot falls below ``PIVOT_FLOOR`` during
-    elimination.  For diagonally dominant input the residual max-norm is
+    ``rhs`` holds n floats (a list is fastest, any sequence works) and is
+    not modified.  For diagonally dominant input the residual max-norm is
     bounded by 1e-10 * (1 + max|rhs|).
     """
-    n = system.order
-    diag = np.array(system.diag, dtype=float)
-    rhs = np.array(system.rhs, dtype=float)
-    sub = np.asarray(system.sub, dtype=float)
-    sup = np.asarray(system.sup, dtype=float)
+    if len(rhs) != len(matrix.diag):
+        raise ValueError(f"rhs has {len(rhs)} entries, expected {len(matrix.diag)}")
+    r = rhs[0]
+    reduced = [r]
+    for w, b in zip(matrix._multipliers, rhs[1:]):
+        r = b - w * r
+        reduced.append(r)
 
-    for i in range(1, n):
-        pivot = diag[i - 1]
-        if abs(pivot) < PIVOT_FLOOR:
-            raise SingularPivot(f"pivot {pivot:.3e} at row {i - 1}")
-        w = sub[i - 1] / pivot
-        diag[i] -= w * sup[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    if abs(diag[-1]) < PIVOT_FLOOR:
-        raise SingularPivot(f"pivot {diag[-1]:.3e} at row {n - 1}")
-
-    x = np.empty(n)
-    x[-1] = rhs[-1] / diag[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - sup[i] * x[i + 1]) / diag[i]
-    return x
+    x = reduced.pop() / matrix._last_pivot
+    solution = [x]
+    for r, u, pivot in zip(reversed(reduced), matrix._back_sup, matrix._back_pivots):
+        x = (r - u * x) / pivot
+        solution.append(x)
+    solution.reverse()
+    return solution

@@ -18,8 +18,8 @@ from massgate.runner import (
     compare_with_oracle,
     run,
 )
-from massgate.stepper import FieldState, FluxSign, GridSpec, step
-from massgate.tridiag import TridiagonalSystem, solve
+from massgate.stepper import FieldState, FluxSign, GridSpec, assemble, step
+from massgate.tridiag import TridiagonalMatrix, solve
 
 REFERENCE_SWITCH_TIMES = [1.95, 2.90, 3.85, 4.80, 5.75, 6.70, 7.65, 8.60, 9.55]
 
@@ -98,7 +98,7 @@ def test_criterion_3_interior_mass_identity():
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
         state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
         before = mass(state, grid, QuadratureKind.RIEMANN_INTERIOR)
-        after = mass(step(state, flux, grid, dt, alpha), grid, QuadratureKind.RIEMANN_INTERIOR)
+        after = mass(step(state, flux, assemble(grid, dt, alpha)), grid, QuadratureKind.RIEMANN_INTERIOR)
         expected = 2.0 * alpha * dt * float(flux)
         if abs((after - before) - expected) > 1e-11:
             failures.append(
@@ -235,9 +235,9 @@ def test_criterion_7_property_bundle():
         diag = rng.uniform(0.5, 2.0, n)
         diag += np.concatenate(([0.0], np.abs(sub))) + np.concatenate((np.abs(sup), [0.0]))
         rhs = rng.uniform(-5.0, 5.0, n)
-        system = TridiagonalSystem(sub=sub, diag=diag, sup=sup, rhs=rhs)
+        matrix = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
         dense = np.linalg.solve(np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1), rhs)
-        worst = max(worst, float(np.max(np.abs(solve(system) - dense))))
+        worst = max(worst, float(np.max(np.abs(solve(matrix, rhs) - dense))))
     if worst > 1e-10:
         failures.append(f"solver vs dense oracle max-norm {worst!r} > 1e-10")
 
@@ -247,7 +247,7 @@ def test_criterion_7_property_bundle():
         values = np.concatenate([half, half[: (cells + 1) // 2][::-1]])
         grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            out = step(FieldState(values=values, time=0.0), flux, grid, 0.02, 0.8)
+            out = step(FieldState(values=values, time=0.0), flux, assemble(grid, 0.02, 0.8))
             gap = float(np.max(np.abs(out.values - out.values[::-1])))
             if gap > 1e-12:
                 failures.append(f"mirror symmetry broken by {gap!r} (J={cells}, s={int(flux)})")

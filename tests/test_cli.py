@@ -246,6 +246,16 @@ def test_cli_rejects_nan_override_with_diagnostic(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("override", ["mode=[1]", "quadrature=[1]", "quadrature={}"])
+def test_cli_rejects_non_string_names_with_diagnostic(tmp_path, capsys, override):
+    config_path = write_config(tmp_path, REFERENCE)
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"massgate: config error: {override.partition('=')[0]}:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
     assert "config error" in capsys.readouterr().err

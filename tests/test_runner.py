@@ -255,6 +255,34 @@ def test_mode_dispatch():
     assert len(run(adaptive).events) >= 3
 
 
+def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
+    import massgate.runner
+    import massgate.stepper
+
+    calls = {"assemble": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(massgate.runner, "assemble", counting("assemble", massgate.runner.assemble))
+    monkeypatch.setattr(massgate.stepper, "solve", counting("solve", massgate.stepper.solve))
+    control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
+    adaptive = RunConfig(
+        control=control,
+        grid=GridSpec(cells=10),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=AdaptiveGrid(first_stage_steps=10, stage_steps=5),
+    )
+    for cfg, stages in ((reference_config(QuadratureKind.TRAPEZOID), 1), (adaptive, 2)):
+        calls.update(assemble=0, solve=0)
+        traj = run(cfg)
+        assert calls == {"assemble": stages, "solve": len(traj.times)}
+
+
 def test_runs_are_deterministic():
     cfg = reference_config(QuadratureKind.TRAPEZOID, stride=7)
     first = run(cfg)

@@ -23,34 +23,34 @@ def random_state(rng: np.random.Generator, cells: int) -> FieldState:
 
 def test_assemble_matches_hand_derivation():
     # cells=3, nu=1: eliminating the end values leaves diag (2, 2),
-    # off-diagonals (-1, -1) and rhs (dx, dx) for the zero field.
+    # off-diagonals (-1, -1) and a flux forcing of nu * dx = dx.
     grid, dt = GridSpec(cells=3), 1.0 / 9.0
     assert diffusion_number(grid, dt, 1.0) == pytest.approx(1.0)
-    system = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, dt, 1.0)
-    assert np.allclose(system.diag, [2.0, 2.0])
-    assert np.allclose(system.sub, [-1.0])
-    assert np.allclose(system.sup, [-1.0])
-    assert np.allclose(system.rhs, [grid.dx, grid.dx])
+    matrix = assemble(grid, dt, 1.0)
+    assert np.allclose(matrix.system.diag, [2.0, 2.0])
+    assert np.allclose(matrix.system.sub, [-1.0])
+    assert np.allclose(matrix.system.sup, [-1.0])
+    assert matrix.forcing == pytest.approx(grid.dx)
 
 
-def test_assemble_rhs_flips_with_flux_sign():
+def test_step_from_zero_flips_with_flux_sign():
     grid, dt = GridSpec(cells=3), 1.0 / 9.0
-    plus = assemble(FieldState.zero(grid), FluxSign.INFLOW, grid, dt, 1.0)
-    minus = assemble(FieldState.zero(grid), FluxSign.OUTFLOW, grid, dt, 1.0)
-    assert np.allclose(minus.rhs, -plus.rhs)
-    assert np.allclose(minus.diag, plus.diag)
+    matrix = assemble(grid, dt, 1.0)
+    plus = step(FieldState.zero(grid), FluxSign.INFLOW, matrix)
+    minus = step(FieldState.zero(grid), FluxSign.OUTFLOW, matrix)
+    assert np.allclose(minus.values, -plus.values)
 
 
 def test_step_increments_interior_mass_by_rate_times_dt():
     grid = GridSpec(cells=4)
-    new = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.01, 1.0)
+    new = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.01, 1.0))
     assert interior_mass(new, grid.dx) == pytest.approx(0.02, abs=1e-13)
 
 
 def test_inflow_then_outflow_cancels_interior_mass():
     grid = GridSpec(cells=7)
-    first = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.03, 0.7)
-    second = step(first, FluxSign.OUTFLOW, grid, 0.03, 0.7)
+    first = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.03, 0.7))
+    second = step(first, FluxSign.OUTFLOW, assemble(grid, 0.03, 0.7))
     assert abs(interior_mass(second, grid.dx)) <= 1e-12
 
 
@@ -62,7 +62,7 @@ def test_mass_identity_for_random_states():
         alpha = float(rng.uniform(0.01, 10.0))
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
         state = random_state(rng, cells)
-        new = step(state, flux, grid, dt, alpha)
+        new = step(state, flux, assemble(grid, dt, alpha))
         increment = interior_mass(new, grid.dx) - interior_mass(state, grid.dx)
         assert abs(increment - 2.0 * alpha * dt * float(flux)) <= 1e-11
 
@@ -71,7 +71,7 @@ def test_boundary_slopes_match_flux_sign():
     rng = np.random.default_rng(8)
     grid = GridSpec(cells=20)
     for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-        new = step(random_state(rng, 20), flux, grid, 0.02, 0.3)
+        new = step(random_state(rng, 20), flux, assemble(grid, 0.02, 0.3))
         u = new.values
         assert abs((u[1] - u[0]) / grid.dx - (-float(flux))) <= 1e-10
         assert abs((u[-1] - u[-2]) / grid.dx - float(flux)) <= 1e-10
@@ -83,7 +83,7 @@ def test_interior_rows_satisfy_implicit_scheme():
     alpha = 2.5
     nu = diffusion_number(grid, dt, alpha)
     state = random_state(rng, 12)
-    new = step(state, FluxSign.OUTFLOW, grid, dt, alpha)
+    new = step(state, FluxSign.OUTFLOW, assemble(grid, dt, alpha))
     u = new.values
     for j in range(1, 12):
         lhs = -nu * u[j - 1] + (1.0 + 2.0 * nu) * u[j] - nu * u[j + 1]
@@ -99,7 +99,7 @@ def test_mirror_symmetric_input_stays_symmetric():
         assert np.array_equal(values, values[::-1])
         grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            new = step(FieldState(values=values, time=0.0), flux, grid, 0.01, 1.3)
+            new = step(FieldState(values=values, time=0.0), flux, assemble(grid, 0.01, 1.3))
             assert np.max(np.abs(new.values - new.values[::-1])) <= 1e-12
 
 
@@ -107,8 +107,8 @@ def test_constant_field_adds_response_of_zero_field():
     grid = GridSpec(cells=9)
     c = 0.8
     constant = FieldState(values=np.full(10, c), time=0.0)
-    from_constant = step(constant, FluxSign.INFLOW, grid, 0.05, 1.0)
-    from_zero = step(FieldState.zero(grid), FluxSign.INFLOW, grid, 0.05, 1.0)
+    from_constant = step(constant, FluxSign.INFLOW, assemble(grid, 0.05, 1.0))
+    from_zero = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.05, 1.0))
     assert np.max(np.abs(from_constant.values - (c + from_zero.values))) <= 1e-12
 
 
@@ -121,7 +121,7 @@ def test_high_coupling_stays_monotone():
         grid = GridSpec(cells=cells)
         state = FieldState.zero(grid)
         for n in range(1, 11):
-            state = step(state, FluxSign.INFLOW, grid, nu * dx**2, 1.0)
+            state = step(state, FluxSign.INFLOW, assemble(grid, nu * dx**2, 1.0))
             if n > 3:
                 assert np.min(state.values[1:-1]) >= -1e-12
 
@@ -135,7 +135,7 @@ def test_refinement_consistency():
         grid = GridSpec(cells=cells)
         state = FieldState.zero(grid)
         for _ in range(steps):
-            state = step(state, FluxSign.INFLOW, grid, final_time / steps, 1.0)
+            state = step(state, FluxSign.INFLOW, assemble(grid, final_time / steps, 1.0))
         fields[cells] = state.values
     gaps = []
     for coarse, fine in ((8, 16), (16, 32), (32, 64)):
@@ -147,7 +147,7 @@ def test_refinement_consistency():
 def test_step_advances_time_by_dt():
     grid = GridSpec(cells=4)
     state = FieldState(values=np.zeros(5), time=1.5)
-    assert step(state, FluxSign.INFLOW, grid, 0.125, 1.0).time == pytest.approx(1.625)
+    assert step(state, FluxSign.INFLOW, assemble(grid, 0.125, 1.0)).time == pytest.approx(1.625)
 
 
 def test_grid_validation():
@@ -161,7 +161,7 @@ def test_grid_validation():
 def test_field_length_validation():
     grid = GridSpec(cells=4)
     with pytest.raises(ValueError):
-        assemble(FieldState(values=np.zeros(4), time=0.0), FluxSign.INFLOW, grid, 0.1, 1.0)
+        step(FieldState(values=np.zeros(4), time=0.0), FluxSign.INFLOW, assemble(grid, 0.1, 1.0))
 
 
 def test_grid_points():
