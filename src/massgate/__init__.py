@@ -21,15 +21,14 @@ from .runner import (
     AdaptiveGrid,
     ErrorReport,
     EventError,
+    FieldState,
     FixedGrid,
-    OracleMismatch,
     RunConfig,
     Trajectory,
     compare_with_oracle,
     run,
 )
 from .stepper import (
-    FieldState,
     FluxSign,
     GridSpec,
     StepMatrix,
@@ -53,7 +52,6 @@ __all__ = [
     "FixedGrid",
     "FluxSign",
     "GridSpec",
-    "OracleMismatch",
     "QuadratureKind",
     "RunConfig",
     "SingularPivot",

@@ -28,7 +28,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analytic import ConfigError, ControlConfig, switch_spacing, switch_time
+from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
 from .quadrature import QuadratureKind
 from .runner import (
     AdaptiveGrid,
@@ -46,6 +46,8 @@ log = logging.getLogger(__name__)
 _KEYS = {"m", "M", "alpha", "horizon", "J", "N", "quadrature", "mode", "N0", "Nstage", "snapshot_stride"}
 _QUADRATURES = {"riemann", "trapezoid"}
 _MODES = {"fixed", "adaptive"}
+# `oracle` rejects a horizon with more closed-form switches than this.
+MAX_ORACLE_ROWS = 1_000_000
 # Config dataclass field -> config key, for fields whose names differ.
 _FIELD_KEYS = {"lower": "m", "upper": "M", "diffusivity": "alpha", "cells": "J",
                "steps": "N", "first_stage_steps": "N0", "stage_steps": "Nstage"}
@@ -253,13 +255,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     run_config = config_from_mapping(_load_mapping(args.config, args.set))
     control = run_config.control
-    spacing = switch_spacing(control)
-    print(f"switch spacing: {_fmt(spacing)}")
+    # Count the switches t_k <= horizon from the closed form, then settle
+    # the count against switch_time itself, which the rows print.
+    span = control.upper - control.lower
+    estimate = (control.horizon * mass_rate(control) - control.lower) / span
+    count = max(0, int(min(estimate, MAX_ORACLE_ROWS + 1)))
+    while count and switch_time(count, control) > control.horizon:
+        count -= 1
+    while count <= MAX_ORACLE_ROWS and switch_time(count + 1, control) <= control.horizon:
+        count += 1
+    if count > MAX_ORACLE_ROWS:
+        raise ConfigError("horizon", f"more than {MAX_ORACLE_ROWS} closed-form switches up to it")
+    print(f"switch spacing: {_fmt(switch_spacing(control))}")
     print("k,t_k")
-    k = 1
-    while switch_time(k, control) <= control.horizon:
+    for k in range(1, count + 1):
         print(f"{k},{_fmt(switch_time(k, control))}")
-        k += 1
     return 0
 
 
@@ -382,6 +392,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # ConfigError and every other library ValueError
         print(f"massgate: config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # per-step arrays of a huge step count
+        print(f"massgate: config error: out of memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"massgate: io error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ step that produced the crossing already ran with the old sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .analytic import ControlConfig
@@ -36,9 +36,10 @@ class SwitchEvent:
     direction: CrossingDirection
 
 
-@dataclass(frozen=True)
+@dataclass
 class ControllerState:
-    """Relay phase plus the ordered record of crossings so far.
+    """Relay phase plus the ordered record of crossings so far, both
+    updated in place by ``observe``.
 
     The phase is +1 before the first event and after even-indexed events,
     -1 after odd-indexed events; directions alternate starting with an
@@ -46,7 +47,7 @@ class ControllerState:
     """
 
     phase: FluxSign = FluxSign.INFLOW
-    events: tuple[SwitchEvent, ...] = ()
+    events: list[SwitchEvent] = field(default_factory=list)
 
 
 def observe(
@@ -55,12 +56,13 @@ def observe(
     time: float,
     control: ControlConfig,
     atol: float = THRESHOLD_ATOL,
-) -> tuple[ControllerState, FluxSign]:
-    """Feed one mass observation to the relay.
+) -> FluxSign:
+    """Feed one mass observation to the relay and return the flux sign
+    for the next step.
 
-    Returns the updated state and the flux sign for the next step.  At
-    most one event is emitted per observation; the comparisons are
-    inclusive (>= upper, <= lower) up to ``atol``.
+    A crossing appends its event to ``ctrl.events`` and flips
+    ``ctrl.phase``.  At most one event is emitted per observation; the
+    comparisons are inclusive (>= upper, <= lower) up to ``atol``.
     """
     if ctrl.events:
         if time <= ctrl.events[-1].time:
@@ -71,26 +73,12 @@ def observe(
         raise ValueError(f"observation time must be nonnegative, got {time}")
 
     if ctrl.phase is FluxSign.INFLOW:
-        if mass_value >= control.upper - atol:
-            return _flip(ctrl, mass_value, time, CrossingDirection.REACHED_UPPER)
+        crossed = mass_value >= control.upper - atol
+        direction = CrossingDirection.REACHED_UPPER
     else:
-        if mass_value <= control.lower + atol:
-            return _flip(ctrl, mass_value, time, CrossingDirection.REACHED_LOWER)
-    return ctrl, ctrl.phase
-
-
-def _flip(
-    ctrl: ControllerState,
-    mass_value: float,
-    time: float,
-    direction: CrossingDirection,
-) -> tuple[ControllerState, FluxSign]:
-    event = SwitchEvent(
-        index=len(ctrl.events) + 1,
-        time=time,
-        mass_at_switch=mass_value,
-        direction=direction,
-    )
-    flipped = ctrl.phase.flipped()
-    new = ControllerState(phase=flipped, events=ctrl.events + (event,))
-    return new, flipped
+        crossed = mass_value <= control.lower + atol
+        direction = CrossingDirection.REACHED_LOWER
+    if crossed:
+        ctrl.events.append(SwitchEvent(len(ctrl.events) + 1, time, mass_value, direction))
+        ctrl.phase = ctrl.phase.flipped()
+    return ctrl.phase

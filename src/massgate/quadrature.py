@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .stepper import FieldState, GridSpec
+import numpy as np
+
+from .stepper import GridSpec
 
 
 class QuadratureKind(Enum):
@@ -22,9 +24,8 @@ class QuadratureKind(Enum):
     TRAPEZOID = "trapezoid"
 
 
-def mass(state: FieldState, grid: GridSpec, kind: QuadratureKind) -> float:
-    """Total mass of the field under the chosen quadrature."""
-    u = state.values
+def mass(u: np.ndarray, grid: GridSpec, kind: QuadratureKind) -> float:
+    """Total mass of the samples U_0..U_J under the chosen quadrature."""
     if len(u) != grid.cells + 1:
         raise ValueError(f"field has {len(u)} values, grid expects {grid.cells + 1}")
     if kind is QuadratureKind.RIEMANN_INTERIOR:

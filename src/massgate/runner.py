@@ -26,7 +26,7 @@ from . import analytic
 from .analytic import ConfigError, ControlConfig
 from .controller import ControllerState, SwitchEvent, observe
 from .quadrature import QuadratureKind, mass
-from .stepper import FieldState, GridSpec, assemble, step
+from .stepper import GridSpec, assemble, step
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +124,14 @@ class RunConfig:
 
 
 @dataclass(frozen=True, eq=False)
+class FieldState:
+    """A snapshot: concentration samples U_0..U_J at one time."""
+
+    values: np.ndarray
+    time: float
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-step record of one run: times, masses and the flux sign used
     for each step, optional field snapshots, and the detected switches."""
@@ -160,25 +168,22 @@ class ErrorReport:
     mean_spacing: float | None
 
 
-class OracleMismatch(RuntimeError):
-    """The run detected a switch the closed form says cannot exist yet."""
-
-
 def run(config: RunConfig) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
-    Each stage assembles its step matrix once.  After each step the mass
-    is evaluated with the configured quadrature and fed to the relay; the
-    resulting flip, if any, takes effect on the next step.  Step i of a
-    stage is stamped start + i * dt, so the times carry no running-sum
-    drift.  Deterministic: identical configs give identical output.
+    Each stage assembles its step matrix once.  The field is a plain
+    array; after each step its mass is evaluated with the configured
+    quadrature and fed to the relay, whose flip, if any, takes effect on
+    the next step.  Step i of a stage is stamped start + i * dt, the only
+    clock, so the times carry no running-sum drift.  Deterministic:
+    identical configs give identical output.
     """
     grid = config.grid
     control = config.control
     stages = config.mode.stages(control)
     total = sum(stage.steps for stage in stages)
 
-    state = FieldState.zero(grid)
+    values = np.zeros(grid.cells + 1)
     ctrl = ControllerState()
     flux = ctrl.phase
     times = np.empty(total)
@@ -191,16 +196,15 @@ def run(config: RunConfig) -> Trajectory:
         matrix = assemble(grid, stage.dt, control.diffusivity)
         for i in range(1, stage.steps + 1):
             time = stage.start + i * stage.dt
-            state = step(state, flux, matrix)
-            mu = mass(state, grid, config.quadrature)
+            values = step(values, flux, matrix)
+            mu = mass(values, grid, config.quadrature)
             times[n] = time
             masses[n] = mu
             fluxes[n] = int(flux)
             n += 1
             if config.snapshot_stride and n % config.snapshot_stride == 0:
-                # state.time is step's running sum; record the stamped time
-                snapshots.append(FieldState(values=state.values, time=time))
-            ctrl, flux = observe(ctrl, mu, time, control)
+                snapshots.append(FieldState(values=values, time=time))
+            flux = observe(ctrl, mu, time, control)
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(ctrl.events))
     return Trajectory(
@@ -208,7 +212,7 @@ def run(config: RunConfig) -> Trajectory:
         masses=masses,
         fluxes=fluxes,
         snapshots=tuple(snapshots),
-        events=ctrl.events,
+        events=tuple(ctrl.events),
     )
 
 
@@ -216,9 +220,10 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
     """Pair each detected switch with its closed-form time.
 
     A switch is within bound when 0 <= error < k * dt (lower side slack
-    ``ERROR_ATOL`` for hits that are exact in real arithmetic).  Raises
-    OracleMismatch if a detected switch has no closed-form counterpart
-    within horizon + k * dt.
+    ``ERROR_ATOL`` for hits that are exact in real arithmetic).  A switch
+    detected before its closed-form time, including one whose closed-form
+    time lies past the horizon, has a negative error and is reported out
+    of bound.
     """
     control = run_config.control
     stages = run_config.mode.stages(control)
@@ -228,12 +233,6 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
         # dt of the step that detected the switch
         dt = next((stage.dt for stage in stages if ev.time <= stage.end), stages[-1].dt)
         bound = ev.index * dt
-        if oracle_time > control.horizon + bound:
-            raise OracleMismatch(
-                f"switch {ev.index} detected at t={ev.time} but the closed form "
-                f"places it at t={oracle_time}, beyond horizon {control.horizon} "
-                f"plus slack {bound}"
-            )
         error = ev.time - oracle_time
         rows.append(
             EventError(

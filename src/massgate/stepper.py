@@ -64,18 +64,6 @@ class GridSpec:
         return np.arange(self.cells + 1) * self.dx
 
 
-@dataclass(frozen=True, eq=False)
-class FieldState:
-    """Concentration samples U_0..U_J at one time level."""
-
-    values: np.ndarray
-    time: float
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "FieldState":
-        return cls(values=np.zeros(grid.cells + 1), time=0.0)
-
-
 def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     """nu = diffusivity * dt / dx^2, the implicit-scheme coupling factor."""
     return diffusivity * dt / grid.dx**2
@@ -86,7 +74,6 @@ class StepMatrix:
     """The factored step matrix of one grid, dt and diffusivity."""
 
     system: TridiagonalMatrix
-    dt: float
     dx: float
     forcing: float  # nu * dx, the flux term of the end rows' right-hand side
 
@@ -104,11 +91,12 @@ def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
     diag[0] -= nu
     diag[-1] -= nu
     off = np.full(unknowns - 1, -nu)
-    return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), dt, grid.dx, nu * grid.dx)
+    return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), grid.dx, nu * grid.dx)
 
 
-def step(state: FieldState, flux: FluxSign, matrix: StepMatrix) -> FieldState:
-    """Advance the field by the matrix's dt under the given flux sign.
+def step(values: np.ndarray, flux: FluxSign, matrix: StepMatrix) -> np.ndarray:
+    """The samples U_0..U_J one step (the matrix's dt) after ``values``
+    under the given flux sign, as a new array.
 
     The interior comes from the tridiagonal solve, with nu * dx * s added
     to both ends of the right-hand side; the end values follow from the
@@ -116,10 +104,9 @@ def step(state: FieldState, flux: FluxSign, matrix: StepMatrix) -> FieldState:
     and +s exactly.
     """
     forcing = matrix.forcing * flux
-    rhs = state.values[1:-1].tolist()
+    rhs = values[1:-1].tolist()
     rhs[0] += forcing
     rhs[-1] += forcing
     interior = solve(matrix.system, rhs)
     offset = matrix.dx * flux
-    values = np.array([interior[0] + offset, *interior, interior[-1] + offset])
-    return FieldState(values=values, time=state.time + matrix.dt)
+    return np.array([interior[0] + offset, *interior, interior[-1] + offset])

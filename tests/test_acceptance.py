@@ -18,7 +18,7 @@ from massgate.runner import (
     compare_with_oracle,
     run,
 )
-from massgate.stepper import FieldState, FluxSign, GridSpec, assemble, step
+from massgate.stepper import FluxSign, GridSpec, assemble, step
 from massgate.tridiag import TridiagonalMatrix, solve
 
 REFERENCE_SWITCH_TIMES = [1.95, 2.90, 3.85, 4.80, 5.75, 6.70, 7.65, 8.60, 9.55]
@@ -96,7 +96,7 @@ def test_criterion_3_interior_mass_identity():
         grid, dt = GridSpec(cells=cells), float(rng.uniform(1e-4, 0.5))
         alpha = float(rng.uniform(0.01, 10.0))
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
-        state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
+        state = rng.uniform(-1.0, 1.0, cells + 1)
         before = mass(state, grid, QuadratureKind.RIEMANN_INTERIOR)
         after = mass(step(state, flux, assemble(grid, dt, alpha)), grid, QuadratureKind.RIEMANN_INTERIOR)
         expected = 2.0 * alpha * dt * float(flux)
@@ -247,8 +247,8 @@ def test_criterion_7_property_bundle():
         values = np.concatenate([half, half[: (cells + 1) // 2][::-1]])
         grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            out = step(FieldState(values=values, time=0.0), flux, assemble(grid, 0.02, 0.8))
-            gap = float(np.max(np.abs(out.values - out.values[::-1])))
+            out = step(values, flux, assemble(grid, 0.02, 0.8))
+            gap = float(np.max(np.abs(out - out[::-1])))
             if gap > 1e-12:
                 failures.append(f"mirror symmetry broken by {gap!r} (J={cells}, s={int(flux)})")
 
@@ -256,10 +256,10 @@ def test_criterion_7_property_bundle():
     for cells in (2, 17, 50):
         grid = GridSpec(cells=cells)
         for _ in range(50):
-            state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
+            state = rng.uniform(-1.0, 1.0, cells + 1)
             trap = mass(state, grid, QuadratureKind.TRAPEZOID)
             riem = mass(state, grid, QuadratureKind.RIEMANN_INTERIOR)
-            expected = 0.5 * grid.dx * (state.values[0] + state.values[-1])
+            expected = 0.5 * grid.dx * (state[0] + state[-1])
             if abs(trap - riem - expected) > 1e-14:
                 failures.append(f"quadrature identity off by {trap - riem - expected!r}")
 

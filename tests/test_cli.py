@@ -1,6 +1,7 @@
 import csv
 import json
 import logging
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from massgate.cli import (
     parse_config,
     serialize_config,
 )
+from massgate.analytic import switch_time
 from massgate.quadrature import QuadratureKind
 from massgate.runner import AdaptiveGrid, FixedGrid, compare_with_oracle, run
 
@@ -278,6 +280,61 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
     assert out[1] == "k,t_k"
     assert out[2] == "1,2.0000000000"
     assert out[-1] == "9,10.0000000000"
+
+
+def test_cli_oracle_rows_are_the_switches_up_to_the_horizon(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        lower = float(rng.uniform(0.01, 1.0))
+        raw = {**REFERENCE, "m": lower, "M": lower * float(rng.uniform(1.01, 3.0)),
+               "alpha": float(rng.uniform(0.01, 2.0))}
+        control = config_from_mapping(raw).control
+        # horizon on, just below, or between closed-form switch times
+        k = int(rng.integers(1, 50))
+        raw["horizon"] = switch_time(k, control) * float(rng.choice([1.0, 1.0 - 1e-15, 1.3]))
+        control = config_from_mapping(raw).control
+        expected = []
+        while switch_time(len(expected) + 1, control) <= control.horizon:
+            expected.append(len(expected) + 1)
+        assert main(["oracle", "--config", str(write_config(tmp_path, raw))]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert [int(row.split(",")[0]) for row in rows] == expected
+
+
+def test_cli_oracle_rejects_horizon_with_too_many_switches(tmp_path, capsys):
+    config_path = write_config(tmp_path, REFERENCE)
+    start = time.monotonic()
+    assert main(["oracle", "--config", str(config_path), "--set", "horizon=1e300"]) == 1
+    assert time.monotonic() - start < 5.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("massgate: config error: horizon:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatch):
+    def exhausted(run_config):
+        raise MemoryError("cannot allocate the per-step arrays")
+
+    monkeypatch.setattr("massgate.cli.run", exhausted)
+    config_path = write_config(tmp_path, REFERENCE)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_reports_switch_past_the_horizon_as_out_of_bound(tmp_path):
+    # The trapezoid mass detects switches early; here it detects a 9th
+    # switch whose closed-form time lies past the horizon.
+    config = {"m": 0.1, "M": 0.2, "alpha": 0.0495, "horizon": 10, "J": 50, "N": 2000}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json"):
+        assert (out / name).exists()
+    last = read_rows(out / "switches.csv")[-1]
+    assert float(last["t_k"]) > config["horizon"]
+    assert last["within_bound"] == "false"
 
 
 def test_cli_compare_subcommand(tmp_path):

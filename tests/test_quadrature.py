@@ -2,27 +2,27 @@ import numpy as np
 import pytest
 
 from massgate.quadrature import QuadratureKind, mass
-from massgate.stepper import FieldState, GridSpec
+from massgate.stepper import GridSpec
 
 
 def make_grid(cells: int) -> GridSpec:
     return GridSpec(cells=cells)
 
 
-def sampled(fn, grid: GridSpec) -> FieldState:
-    return FieldState(values=fn(grid.points), time=0.0)
+def sampled(fn, grid: GridSpec) -> np.ndarray:
+    return fn(grid.points)
 
 
 def test_trapezoid_exact_for_constants():
     for cells in (2, 5, 50):
         grid = make_grid(cells)
-        state = FieldState(values=np.full(cells + 1, 3.7), time=0.0)
+        state = np.full(cells + 1, 3.7)
         assert mass(state, grid, QuadratureKind.TRAPEZOID) == pytest.approx(3.7, abs=1e-14)
 
 
 def test_riemann_interior_omits_both_endpoints():
     grid = make_grid(50)
-    state = FieldState(values=np.full(51, 2.0), time=0.0)
+    state = np.full(51, 2.0)
     assert mass(state, grid, QuadratureKind.RIEMANN_INTERIOR) == pytest.approx(
         2.0 * 49.0 / 50.0, abs=1e-14
     )
@@ -40,10 +40,10 @@ def test_difference_identity():
     for cells in (2, 17, 50, 128):
         grid = make_grid(cells)
         for _ in range(25):
-            state = FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
+            state = rng.uniform(-1.0, 1.0, cells + 1)
             trap = mass(state, grid, QuadratureKind.TRAPEZOID)
             riem = mass(state, grid, QuadratureKind.RIEMANN_INTERIOR)
-            expected = 0.5 * grid.dx * (state.values[0] + state.values[-1])
+            expected = 0.5 * grid.dx * (state[0] + state[-1])
             assert abs(trap - riem - expected) <= 1e-14
 
 
@@ -54,10 +54,8 @@ def test_linearity_in_the_field():
         u = rng.uniform(-1.0, 1.0, 34)
         v = rng.uniform(-1.0, 1.0, 34)
         a, b = 1.75, -0.4
-        combined = mass(FieldState(values=a * u + b * v, time=0.0), grid, kind)
-        parts = a * mass(FieldState(values=u, time=0.0), grid, kind) + b * mass(
-            FieldState(values=v, time=0.0), grid, kind
-        )
+        combined = mass(a * u + b * v, grid, kind)
+        parts = a * mass(u, grid, kind) + b * mass(v, grid, kind)
         assert abs(combined - parts) <= 1e-13
 
 
@@ -82,4 +80,4 @@ def test_convergence_orders_on_cubic():
 def test_field_length_validation():
     grid = make_grid(4)
     with pytest.raises(ValueError):
-        mass(FieldState(values=np.zeros(4), time=0.0), grid, QuadratureKind.TRAPEZOID)
+        mass(np.zeros(4), grid, QuadratureKind.TRAPEZOID)

@@ -3,7 +3,6 @@ import pytest
 
 from massgate.runner import FixedGrid
 from massgate.stepper import (
-    FieldState,
     FluxSign,
     GridSpec,
     assemble,
@@ -12,13 +11,13 @@ from massgate.stepper import (
 )
 
 
-def interior_mass(state: FieldState, dx: float) -> float:
+def interior_mass(values: np.ndarray, dx: float) -> float:
     """Direct summation oracle for the interior Riemann mass."""
-    return dx * float(np.sum(state.values[1:-1]))
+    return dx * float(np.sum(values[1:-1]))
 
 
-def random_state(rng: np.random.Generator, cells: int) -> FieldState:
-    return FieldState(values=rng.uniform(-1.0, 1.0, cells + 1), time=0.0)
+def random_state(rng: np.random.Generator, cells: int) -> np.ndarray:
+    return rng.uniform(-1.0, 1.0, cells + 1)
 
 
 def test_assemble_matches_hand_derivation():
@@ -36,20 +35,20 @@ def test_assemble_matches_hand_derivation():
 def test_step_from_zero_flips_with_flux_sign():
     grid, dt = GridSpec(cells=3), 1.0 / 9.0
     matrix = assemble(grid, dt, 1.0)
-    plus = step(FieldState.zero(grid), FluxSign.INFLOW, matrix)
-    minus = step(FieldState.zero(grid), FluxSign.OUTFLOW, matrix)
-    assert np.allclose(minus.values, -plus.values)
+    plus = step(np.zeros(grid.cells + 1), FluxSign.INFLOW, matrix)
+    minus = step(np.zeros(grid.cells + 1), FluxSign.OUTFLOW, matrix)
+    assert np.allclose(minus, -plus)
 
 
 def test_step_increments_interior_mass_by_rate_times_dt():
     grid = GridSpec(cells=4)
-    new = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.01, 1.0))
+    new = step(np.zeros(grid.cells + 1), FluxSign.INFLOW, assemble(grid, 0.01, 1.0))
     assert interior_mass(new, grid.dx) == pytest.approx(0.02, abs=1e-13)
 
 
 def test_inflow_then_outflow_cancels_interior_mass():
     grid = GridSpec(cells=7)
-    first = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.03, 0.7))
+    first = step(np.zeros(grid.cells + 1), FluxSign.INFLOW, assemble(grid, 0.03, 0.7))
     second = step(first, FluxSign.OUTFLOW, assemble(grid, 0.03, 0.7))
     assert abs(interior_mass(second, grid.dx)) <= 1e-12
 
@@ -72,7 +71,7 @@ def test_boundary_slopes_match_flux_sign():
     grid = GridSpec(cells=20)
     for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
         new = step(random_state(rng, 20), flux, assemble(grid, 0.02, 0.3))
-        u = new.values
+        u = new
         assert abs((u[1] - u[0]) / grid.dx - (-float(flux))) <= 1e-10
         assert abs((u[-1] - u[-2]) / grid.dx - float(flux)) <= 1e-10
 
@@ -84,10 +83,10 @@ def test_interior_rows_satisfy_implicit_scheme():
     nu = diffusion_number(grid, dt, alpha)
     state = random_state(rng, 12)
     new = step(state, FluxSign.OUTFLOW, assemble(grid, dt, alpha))
-    u = new.values
+    u = new
     for j in range(1, 12):
         lhs = -nu * u[j - 1] + (1.0 + 2.0 * nu) * u[j] - nu * u[j + 1]
-        assert abs(lhs - state.values[j]) <= 1e-10
+        assert abs(lhs - state[j]) <= 1e-10
 
 
 def test_mirror_symmetric_input_stays_symmetric():
@@ -99,17 +98,17 @@ def test_mirror_symmetric_input_stays_symmetric():
         assert np.array_equal(values, values[::-1])
         grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            new = step(FieldState(values=values, time=0.0), flux, assemble(grid, 0.01, 1.3))
-            assert np.max(np.abs(new.values - new.values[::-1])) <= 1e-12
+            new = step(values, flux, assemble(grid, 0.01, 1.3))
+            assert np.max(np.abs(new - new[::-1])) <= 1e-12
 
 
 def test_constant_field_adds_response_of_zero_field():
     grid = GridSpec(cells=9)
     c = 0.8
-    constant = FieldState(values=np.full(10, c), time=0.0)
+    constant = np.full(10, c)
     from_constant = step(constant, FluxSign.INFLOW, assemble(grid, 0.05, 1.0))
-    from_zero = step(FieldState.zero(grid), FluxSign.INFLOW, assemble(grid, 0.05, 1.0))
-    assert np.max(np.abs(from_constant.values - (c + from_zero.values))) <= 1e-12
+    from_zero = step(np.zeros(grid.cells + 1), FluxSign.INFLOW, assemble(grid, 0.05, 1.0))
+    assert np.max(np.abs(from_constant - (c + from_zero))) <= 1e-12
 
 
 def test_high_coupling_stays_monotone():
@@ -119,11 +118,11 @@ def test_high_coupling_stays_monotone():
         cells = 10
         dx = 1.0 / cells
         grid = GridSpec(cells=cells)
-        state = FieldState.zero(grid)
+        state = np.zeros(grid.cells + 1)
         for n in range(1, 11):
             state = step(state, FluxSign.INFLOW, assemble(grid, nu * dx**2, 1.0))
             if n > 3:
-                assert np.min(state.values[1:-1]) >= -1e-12
+                assert np.min(state[1:-1]) >= -1e-12
 
 
 def test_refinement_consistency():
@@ -133,21 +132,15 @@ def test_refinement_consistency():
     fields = {}
     for cells, steps in ((8, 16), (16, 64), (32, 256), (64, 1024)):
         grid = GridSpec(cells=cells)
-        state = FieldState.zero(grid)
+        state = np.zeros(grid.cells + 1)
         for _ in range(steps):
             state = step(state, FluxSign.INFLOW, assemble(grid, final_time / steps, 1.0))
-        fields[cells] = state.values
+        fields[cells] = state
     gaps = []
     for coarse, fine in ((8, 16), (16, 32), (32, 64)):
         shared = fields[fine][::2]
         gaps.append(float(np.max(np.abs(fields[coarse] - shared))))
     assert gaps[0] > gaps[1] > gaps[2]
-
-
-def test_step_advances_time_by_dt():
-    grid = GridSpec(cells=4)
-    state = FieldState(values=np.zeros(5), time=1.5)
-    assert step(state, FluxSign.INFLOW, assemble(grid, 0.125, 1.0)).time == pytest.approx(1.625)
 
 
 def test_grid_validation():
@@ -161,7 +154,7 @@ def test_grid_validation():
 def test_field_length_validation():
     grid = GridSpec(cells=4)
     with pytest.raises(ValueError):
-        step(FieldState(values=np.zeros(4), time=0.0), FluxSign.INFLOW, assemble(grid, 0.1, 1.0))
+        step(np.zeros(4), FluxSign.INFLOW, assemble(grid, 0.1, 1.0))
 
 
 def test_grid_points():
