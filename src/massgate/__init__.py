@@ -9,13 +9,7 @@ adaptively sized grids reproduce them exactly.
 """
 
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time, total_mass
-from .controller import (
-    THRESHOLD_ATOL,
-    ControllerState,
-    CrossingDirection,
-    SwitchEvent,
-    observe,
-)
+from .controller import ControllerState, CrossingDirection, SwitchEvent, observe
 from .quadrature import QuadratureKind, mass
 from .runner import (
     AdaptiveGrid,
@@ -57,7 +51,6 @@ __all__ = [
     "SingularPivot",
     "StepMatrix",
     "SwitchEvent",
-    "THRESHOLD_ATOL",
     "Trajectory",
     "TridiagonalMatrix",
     "assemble",

@@ -46,8 +46,8 @@ class ControlConfig:
                 f"thresholds must satisfy 0 < lower < upper < inf, "
                 f"got lower={self.lower}, upper={self.upper}",
             )
-        if not 0.0 < self.diffusivity < math.inf:
-            raise ConfigError("diffusivity", f"must be positive and finite, got {self.diffusivity}")
+        if not 0.0 < mass_rate(self) < math.inf:
+            raise ConfigError("diffusivity", f"must be positive, with 2 * diffusivity finite, got {self.diffusivity}")
         if not 0.0 < self.horizon < math.inf:
             raise ConfigError("horizon", f"must be positive and finite, got {self.horizon}")
 

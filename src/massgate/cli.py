@@ -28,6 +28,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
 from .quadrature import QuadratureKind
 from .runner import (
@@ -218,8 +220,7 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
 
     path = out / "report.json"
     with path.open("w", encoding="utf-8") as f:
-        json.dump(_report_payload(report), f, indent=2)
-        f.write("\n")
+        f.write(json.dumps(_report_payload(report), indent=2) + "\n")
     written.append(path)
 
     log.info("wrote %s", ", ".join(str(p) for p in written))
@@ -389,12 +390,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy overflow and NaN raise FloatingPointError, not stderr warnings
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ValueError as exc:  # ConfigError and every other library ValueError
         print(f"massgate: config error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:  # per-step arrays of a huge step count
         print(f"massgate: config error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # SingularPivot, overflow, zero division at extreme values
+        print(f"massgate: config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"massgate: io error: {exc}", file=sys.stderr)

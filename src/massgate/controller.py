@@ -4,7 +4,9 @@ The flux starts at +1.  The first observation at or above the upper
 threshold flips it to -1; the next at or below the lower threshold flips
 it back, and so on.  A flip takes effect on the step after the crossing:
 ``observe`` returns the flux sign to use for the NEXT step, while the
-step that produced the crossing already ran with the old sign.
+step that produced the crossing already ran with the old sign.  Reaching
+is inclusive up to a window that the caller supplies, since only the
+caller knows the step.
 """
 
 from __future__ import annotations
@@ -14,11 +16,6 @@ from enum import Enum
 
 from .analytic import ControlConfig
 from .stepper import FluxSign
-
-# Absolute slack on the threshold comparisons.  Time grids sized so the
-# discrete mass lands exactly on a threshold land within a few ulp of it
-# in floats; without the slack those hits would be missed half the time.
-THRESHOLD_ATOL = 1e-12
 
 
 class CrossingDirection(Enum):
@@ -55,14 +52,15 @@ def observe(
     mass_value: float,
     time: float,
     control: ControlConfig,
-    atol: float = THRESHOLD_ATOL,
+    atol: float,
 ) -> FluxSign:
     """Feed one mass observation to the relay and return the flux sign
     for the next step.
 
     A crossing appends its event to ``ctrl.events`` and flips
     ``ctrl.phase``.  At most one event is emitted per observation; the
-    comparisons are inclusive (>= upper, <= lower) up to ``atol``.
+    comparisons are inclusive (>= upper, <= lower) up to the window
+    ``atol``, which the caller sizes to its step.
     """
     if ctrl.events:
         if time <= ctrl.events[-1].time:

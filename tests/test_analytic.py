@@ -124,6 +124,7 @@ def test_mass_range_is_bounded():
         (0.1, 0.1, 1.0, 1.0),
         (0.1, 0.2, 0.0, 1.0),
         (0.1, 0.2, -1.0, 1.0),
+        (0.1, 0.2, 1e308, 1.0),  # the mass rate 2 * diffusivity overflows
         (0.1, 0.2, 1.0, 0.0),
     ],
 )

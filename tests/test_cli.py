@@ -324,6 +324,29 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50, "N": 2},
+                     id="singular-pivot-fixed"),
+        pytest.param({"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e6, "J": 2,
+                      "mode": "adaptive", "N0": 20, "Nstage": 1}, id="singular-pivot-adaptive"),
+        pytest.param({"m": 0.05, "M": 0.2, "alpha": 10, "horizon": 1.7e308, "J": 20,
+                      "mode": "adaptive", "N0": 2, "Nstage": 50}, id="overflow"),
+        pytest.param({"m": 5e-324, "M": 1, "alpha": 1.7e308, "horizon": 1e-12, "J": 3,
+                      "mode": "adaptive", "N0": 2, "Nstage": 1}, id="infinite-mass-rate"),
+        pytest.param({"m": 5e-324, "M": 1e-320, "alpha": 1e10, "horizon": 1e-12, "J": 3,
+                      "mode": "adaptive", "N0": 2, "Nstage": 1}, id="zero-division"),
+    ],
+)
+def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, config):
+    config_path = write_config(tmp_path, config)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error:")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_run_reports_switch_past_the_horizon_as_out_of_bound(tmp_path):
     # The trapezoid mass detects switches early; here it detects a 9th
     # switch whose closed-form time lies past the horizon.

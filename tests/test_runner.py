@@ -230,6 +230,40 @@ def test_adaptive_single_giant_first_step_hits_threshold():
     assert abs(traj.events[0].mass_at_switch - control.upper) <= 1e-12
 
 
+def _past_switch_12(lower, upper):
+    probe = ControlConfig(lower=lower, upper=upper, diffusivity=1.0, horizon=1.0)
+    return switch_time(12, probe) * (1 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, alpha, horizon, cells, first, later, count, err_tol",
+    [
+        pytest.param(0.1, 0.2, 0.05, 10000.0, 50, 2, 2, 9999, 1e-9, id="adaptive_dense"),
+        pytest.param(25.0, 50.0, 1.0, _past_switch_12(25.0, 50.0), 20, 997, 613, 12, 1e-9, id="M=50"),
+        pytest.param(500.0, 1000.0, 1.0, _past_switch_12(500.0, 1000.0), 20, 997, 613, 12, 1e-9,
+                     id="M=1000"),
+        # switch times near 1e8, where one ulp is 1.5e-8
+        pytest.param(0.1, 0.2, 5e-9, 1e8, 50, 2, 2, 9, 1e-7, id="alpha=5e-9"),
+    ],
+)
+def test_adaptive_switches_match_closed_form_at_any_scale(
+    lower, upper, alpha, horizon, cells, first, later, count, err_tol
+):
+    # Long runs, large thresholds and long switch times: the relay window
+    # and the oracle slack must scale with the step to keep every landing.
+    cfg = RunConfig(
+        control=ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon),
+        grid=GridSpec(cells=cells),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=AdaptiveGrid(first_stage_steps=first, stage_steps=later),
+    )
+    report = compare_with_oracle(run(cfg), cfg)
+    assert len(report.events) == count
+    assert [row.index for row in report.events] == list(range(1, count + 1))
+    assert all(row.within_bound for row in report.events)
+    assert report.max_abs_error < err_tol
+
+
 def test_adaptive_requires_interior_riemann_quadrature():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     with pytest.raises(ValueError):
