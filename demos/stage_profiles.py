@@ -49,7 +49,8 @@ def main():
         print(f"stage {stage}: {label}, t in ({traj.times[start]:.2f}, {traj.times[stop - 1]:.2f}]")
         for i in np.linspace(start + 3, stop - 1, 4).astype(int):
             snap = traj.snapshots[i]
-            print(f"  t={snap.time:5.2f}  max={snap.values.max():.4f}  |{sketch(snap.values)}|")
+            values = np.asarray(snap.values)
+            print(f"  t={snap.time:5.2f}  max={values.max():.4f}  |{sketch(values)}|")
         print()
     print("midpoint (x = 0.5) peaks:")
     midpoint = np.array([s.values[25] for s in traj.snapshots])
@@ -57,7 +58,7 @@ def main():
         i for i in range(1, len(midpoint) - 1)
         if midpoint[i] > midpoint[i - 1] and midpoint[i] >= midpoint[i + 1]
     ]
-    times = traj.times[peaks]
+    times = np.asarray(traj.times)[peaks]
     print("  at t =", ", ".join(f"{t:.2f}" for t in times))
     print("  separations:", ", ".join(f"{d:.2f}" for d in np.diff(times)),
           f"(2 * switch spacing = {2 * switch_spacing(control):.2f})")

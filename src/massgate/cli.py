@@ -23,12 +23,11 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
 from .quadrature import QuadratureKind
@@ -159,6 +158,53 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
+# report.json as json.dumps(_report_payload(report), indent=2) lays it out;
+# filling this in avoids the json module's pure-Python indenting encoder.
+_REPORT_EVENT = """\
+    {{
+      "k": {},
+      "T_k": {},
+      "t_k": {},
+      "err": {},
+      "bound": {},
+      "within_bound": {}
+    }}"""
+_REPORT = """\
+{{
+  "events": {},
+  "summary": {{
+    "max_abs_error": {},
+    "mean_spacing": {}
+  }}
+}}
+"""
+
+
+def _json_scalar(value: float | int | bool | None) -> str:
+    """``value`` as json.dumps writes it, NaN and +-Infinity included."""
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if not isinstance(value, float):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _report_json(report: ErrorReport) -> str:
+    """report.json's text, byte for byte json.dumps(_report_payload(report),
+    indent=2) plus a newline."""
+    rows = ",\n".join(
+        _REPORT_EVENT.format(*map(_json_scalar, (row.index, row.computed_time, row.oracle_time,
+                                                 row.error, row.bound, row.within_bound)))
+        for row in report.events
+    )
+    events = f"[\n{rows}\n  ]" if rows else "[]"
+    return _REPORT.format(events, _json_scalar(report.max_abs_error), _json_scalar(report.mean_spacing))
+
+
 def _report_payload(report: ErrorReport) -> dict:
     return {
         "events": [
@@ -220,7 +266,7 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
 
     path = out / "report.json"
     with path.open("w", encoding="utf-8") as f:
-        f.write(json.dumps(_report_payload(report), indent=2) + "\n")
+        f.write(_report_json(report))
     written.append(path)
 
     log.info("wrote %s", ", ".join(str(p) for p in written))
@@ -390,14 +436,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = build_parser().parse_args(argv)
     try:
-        # numpy overflow and NaN raise FloatingPointError, not stderr warnings
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args)
+        return args.func(args)
     except ValueError as exc:  # ConfigError and every other library ValueError
         print(f"massgate: config error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # per-step arrays of a huge step count
-        print(f"massgate: config error: out of memory: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # per-step columns of a huge step count
+        print(f"massgate: config error: out of memory: {str(exc) or 'the per-step columns do not fit'}",
+              file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # SingularPivot, overflow, zero division at extreme values
         print(f"massgate: config error: {type(exc).__name__}: {exc}", file=sys.stderr)

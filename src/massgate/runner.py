@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import logging
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import pairwise
 
 from . import analytic
 from .analytic import ConfigError, ControlConfig
 from .controller import ControllerState, SwitchEvent, observe
-from .quadrature import QuadratureKind, mass
+from .quadrature import QuadratureKind, mass, pairwise_sum
 from .stepper import GridSpec, assemble, step
 
 log = logging.getLogger(__name__)
@@ -124,27 +124,32 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class FieldState:
-    """A snapshot: concentration samples U_0..U_J at one time."""
+    """A snapshot: concentration samples U_0..U_J at one time, stored by
+    a run as an ``array('d')``."""
 
-    values: np.ndarray
+    values: array
     time: float
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Per-step record of one run: times, masses and the flux sign used
-    for each step, optional field snapshots, and the detected switches."""
+    for each step, optional field snapshots, and the detected switches.
 
-    times: np.ndarray
-    masses: np.ndarray
-    fluxes: np.ndarray
+    A run stores the columns as ``array('d')`` (times, masses) and
+    ``array('b')`` (fluxes); ``numpy.asarray`` takes them without a copy.
+    """
+
+    times: array
+    masses: array
+    fluxes: array
     snapshots: tuple[FieldState, ...]
     events: tuple[SwitchEvent, ...]
 
     def __post_init__(self) -> None:
-        if len(self.times) and not np.all(np.diff(self.times) > 0.0):
+        if not all(a < b for a, b in pairwise(self.times)):
             raise ValueError("sample times must be strictly increasing")
-        if not np.all(np.isfinite(self.masses)):
+        if not all(map(math.isfinite, self.masses)):
             raise ValueError("mass samples must be finite")
 
 
@@ -170,8 +175,8 @@ class ErrorReport:
 def run(config: RunConfig) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
-    Each stage assembles its step matrix once.  The field is a plain
-    array; after each step its mass is evaluated with the configured
+    Each stage with steps assembles its step matrix once.  The field is a
+    plain list; after each step its mass is evaluated with the configured
     quadrature and fed to the relay, whose flip, if any, takes effect on
     the next step.  Step i of a stage is stamped start + i * dt, the only
     clock, so the times carry no running-sum drift.  Deterministic:
@@ -182,16 +187,19 @@ def run(config: RunConfig) -> Trajectory:
     stages = config.mode.stages(control)
     total = sum(stage.steps for stage in stages)
 
-    values = np.zeros(grid.cells + 1)
+    values = [0.0] * (grid.cells + 1)
     ctrl = ControllerState()
     flux = ctrl.phase
-    times = np.empty(total)
-    masses = np.empty(total)
-    fluxes = np.empty(total, dtype=int)
+    # allocated up front, so a step count too large for memory fails at once
+    times = array("d", [0.0]) * total
+    masses = array("d", [0.0]) * total
+    fluxes = array("b", [0]) * total
     snapshots: list[FieldState] = []
 
     n = 0
     for stage in stages:
+        if not stage.steps:
+            continue  # its dt, sized past the horizon, may not even factor
         matrix = assemble(grid, stage.dt, control.diffusivity)
         window = STEP_SLACK * analytic.mass_rate(control) * stage.dt
         for i in range(1, stage.steps + 1):
@@ -200,10 +208,10 @@ def run(config: RunConfig) -> Trajectory:
             mu = mass(values, grid, config.quadrature)
             times[n] = time
             masses[n] = mu
-            fluxes[n] = int(flux)
+            fluxes[n] = flux
             n += 1
             if config.snapshot_stride and n % config.snapshot_stride == 0:
-                snapshots.append(FieldState(values=values, time=time))
+                snapshots.append(FieldState(values=array("d", values), time=time))
             flux = observe(ctrl, mu, time, control, window)
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(ctrl.events))
@@ -246,5 +254,7 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
 
     event_times = [ev.time for ev in traj.events]
     max_abs_error = max(abs(r.error) for r in rows) if rows else None
-    mean_spacing = float(np.mean(np.diff(event_times))) if len(event_times) >= 2 else None
+    spacings = [b - a for a, b in pairwise(event_times)]
+    # numpy.mean's order: the pairwise sum, divided by the count
+    mean_spacing = pairwise_sum(spacings) / len(spacings) if spacings else None
     return ErrorReport(events=tuple(rows), max_abs_error=max_abs_error, mean_spacing=mean_spacing)

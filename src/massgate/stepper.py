@@ -23,10 +23,9 @@ time grids exact.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import IntEnum
-
-import numpy as np
 
 from .analytic import ConfigError
 from .tridiag import TridiagonalMatrix, solve
@@ -59,9 +58,10 @@ class GridSpec:
         return 1.0 / self.cells
 
     @property
-    def points(self) -> np.ndarray:
+    def points(self) -> list[float]:
         """Node coordinates x_j = j * dx, j = 0..cells."""
-        return np.arange(self.cells + 1) * self.dx
+        dx = self.dx
+        return [j * dx for j in range(self.cells + 1)]
 
 
 def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
@@ -87,16 +87,16 @@ def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
     nu = diffusion_number(grid, dt, diffusivity)
     unknowns = grid.cells - 1
 
-    diag = np.full(unknowns, 1.0 + 2.0 * nu)
+    diag = [1.0 + 2.0 * nu] * unknowns
     diag[0] -= nu
     diag[-1] -= nu
-    off = np.full(unknowns - 1, -nu)
+    off = [-nu] * (unknowns - 1)
     return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), grid.dx, nu * grid.dx)
 
 
-def step(values: np.ndarray, flux: FluxSign, matrix: StepMatrix) -> np.ndarray:
+def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[float]:
     """The samples U_0..U_J one step (the matrix's dt) after ``values``
-    under the given flux sign, as a new array.
+    under the given flux sign, as a new list.
 
     The interior comes from the tridiagonal solve, with nu * dx * s added
     to both ends of the right-hand side; the end values follow from the
@@ -104,9 +104,9 @@ def step(values: np.ndarray, flux: FluxSign, matrix: StepMatrix) -> np.ndarray:
     and +s exactly.
     """
     forcing = matrix.forcing * flux
-    rhs = values[1:-1].tolist()
+    rhs = list(values[1:-1])  # a copy for any sequence, numpy views included
     rhs[0] += forcing
     rhs[-1] += forcing
     interior = solve(matrix.system, rhs)
     offset = matrix.dx * flux
-    return np.array([interior[0] + offset, *interior, interior[-1] + offset])
+    return [interior[0] + offset, *interior, interior[-1] + offset]

@@ -18,7 +18,7 @@ so pivoting is unnecessary.
 
 from __future__ import annotations
 
-import numpy as np
+from collections.abc import Sequence
 
 # Elimination aborts once a pivot drops below this magnitude.  Engineering
 # guard against ill-conditioned input; the diffusion matrices stay far away.
@@ -26,7 +26,7 @@ PIVOT_FLOOR = 1e-14
 
 
 class SingularPivot(ArithmeticError):
-    """Forward elimination hit a pivot below ``PIVOT_FLOOR``."""
+    """Forward elimination hit a pivot below ``PIVOT_FLOOR``, or NaN."""
 
 
 class TridiagonalMatrix:
@@ -34,34 +34,35 @@ class TridiagonalMatrix:
 
     ``diag`` holds n entries, ``sub`` and ``sup`` the n - 1 off-diagonal
     entries.  Raises SingularPivot if any pivot falls below
-    ``PIVOT_FLOOR`` during elimination.
+    ``PIVOT_FLOOR`` during elimination or is NaN, as it is for a matrix
+    built from an overflowed diffusion number.
     """
 
-    def __init__(self, sub: np.ndarray, diag: np.ndarray, sup: np.ndarray) -> None:
-        self.sub = np.asarray(sub, dtype=float)
-        self.diag = np.asarray(diag, dtype=float)
-        self.sup = np.asarray(sup, dtype=float)
+    def __init__(self, sub: Sequence[float], diag: Sequence[float], sup: Sequence[float]) -> None:
+        self.sub = [float(v) for v in sub]
+        self.diag = [float(v) for v in diag]
+        self.sup = [float(v) for v in sup]
         n = len(self.diag)
         if n < 1 or len(self.sub) != n - 1 or len(self.sup) != n - 1:
             raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries, got "
                              f"sub={len(self.sub)}, diag={n}, sup={len(self.sup)}")
 
-        sub_f, pivots, sup_f = self.sub.tolist(), self.diag.tolist(), self.sup.tolist()
+        pivots = self.diag.copy()
         multipliers = []
         for i in range(1, n):
             pivot = pivots[i - 1]
-            if abs(pivot) < PIVOT_FLOOR:
+            if not abs(pivot) >= PIVOT_FLOOR:
                 raise SingularPivot(f"pivot {pivot:.3e} at row {i - 1}")
-            w = sub_f[i - 1] / pivot
-            pivots[i] -= w * sup_f[i - 1]
+            w = self.sub[i - 1] / pivot
+            pivots[i] -= w * self.sup[i - 1]
             multipliers.append(w)
-        if abs(pivots[-1]) < PIVOT_FLOOR:
+        if not abs(pivots[-1]) >= PIVOT_FLOOR:
             raise SingularPivot(f"pivot {pivots[-1]:.3e} at row {n - 1}")
 
         self._multipliers = multipliers
         self._last_pivot = pivots[-1]
         # back substitution runs from row n - 2 down to row 0
-        self._back_sup = sup_f[::-1]
+        self._back_sup = self.sup[::-1]
         self._back_pivots = pivots[-2::-1]
 
 

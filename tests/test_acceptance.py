@@ -247,7 +247,7 @@ def test_criterion_7_property_bundle():
         values = np.concatenate([half, half[: (cells + 1) // 2][::-1]])
         grid = GridSpec(cells=cells)
         for flux in (FluxSign.INFLOW, FluxSign.OUTFLOW):
-            out = step(values, flux, assemble(grid, 0.02, 0.8))
+            out = np.asarray(step(values, flux, assemble(grid, 0.02, 0.8)))
             gap = float(np.max(np.abs(out - out[::-1])))
             if gap > 1e-12:
                 failures.append(f"mirror symmetry broken by {gap!r} (J={cells}, s={int(flux)})")
@@ -291,7 +291,7 @@ def test_criterion_8_phase_shape_checks():
         boundaries = [0] + [i + 1 for i in range(len(fluxes) - 1) if fluxes[i + 1] != fluxes[i]]
         boundaries.append(len(fluxes))
         for start, stop in zip(boundaries, boundaries[1:]):
-            maxima = [float(s.values.max()) for s in traj.snapshots[start:stop]][3:]
+            maxima = [float(np.asarray(s.values).max()) for s in traj.snapshots[start:stop]][3:]
             steps_in = np.diff(maxima)
             if fluxes[start] == 1 and not np.all(steps_in > 0):
                 failures.append(f"{quadrature.value}: pumping max not rising at step {start}")
@@ -307,7 +307,7 @@ def test_criterion_8_phase_shape_checks():
     ]
     if len(peaks) < 3:
         failures.append(f"expected several midpoint peaks, found {len(peaks)}")
-    separations = np.diff(traj.times[peaks])
+    separations = np.diff(np.asarray(traj.times)[peaks])
     period = 2.0 * switch_spacing(cfg.control)
     dt = cfg.mode.stages(cfg.control)[0].dt
     for sep in separations:

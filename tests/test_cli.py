@@ -1,14 +1,21 @@
 import csv
 import json
 import logging
+import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import massgate
 from massgate.cli import (
     ConfigError,
     _log_level,
+    _report_payload,
     config_from_mapping,
     config_to_mapping,
     emit_outputs,
@@ -18,7 +25,7 @@ from massgate.cli import (
 )
 from massgate.analytic import switch_time
 from massgate.quadrature import QuadratureKind
-from massgate.runner import AdaptiveGrid, FixedGrid, compare_with_oracle, run
+from massgate.runner import AdaptiveGrid, ErrorReport, EventError, FixedGrid, compare_with_oracle, run
 
 REFERENCE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": 50, "N": 200}
 ADAPTIVE = {
@@ -329,8 +336,10 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
     [
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50, "N": 2},
                      id="singular-pivot-fixed"),
-        pytest.param({"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e6, "J": 2,
+        pytest.param({"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e300, "J": 2,
                       "mode": "adaptive", "N0": 20, "Nstage": 1}, id="singular-pivot-adaptive"),
+        pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e300, "horizon": 1e300, "J": 50, "N": 10**6},
+                     id="overflowed-diffusion-number"),
         pytest.param({"m": 0.05, "M": 0.2, "alpha": 10, "horizon": 1.7e308, "J": 20,
                       "mode": "adaptive", "N0": 2, "Nstage": 50}, id="overflow"),
         pytest.param({"m": 5e-324, "M": 1, "alpha": 1.7e308, "horizon": 1e-12, "J": 3,
@@ -345,6 +354,79 @@ def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, confi
     err = capsys.readouterr().err
     assert err.startswith("massgate: config error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # nu overflows, so the climb's matrix would be NaN
+        {"m": 0.1, "M": 1e308, "alpha": 1, "horizon": 1, "J": 50, "mode": "adaptive", "N0": 1, "Nstage": 1},
+        # the climb's matrix would be singular
+        {"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e6, "J": 2, "mode": "adaptive", "N0": 20, "Nstage": 1},
+    ],
+)
+def test_cli_run_with_no_steps_before_the_horizon_writes_empty_outputs(tmp_path, capsys, config):
+    # The climb takes no step before the horizon, so no matrix is built.
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "switches.csv").read_text(encoding="utf-8") == "k,T_k,t_k,err,bound,within_bound\n"
+    assert (out / "mass.csv").read_text(encoding="utf-8") == "time,mass,flux\n"
+    assert (out / "snapshots.csv").read_text(encoding="utf-8") == "time,x,u\n"
+    assert json.loads((out / "report.json").read_text(encoding="utf-8"))["events"] == []
+
+
+def test_report_json_is_json_dumps_with_indent(tmp_path):
+    reference = config_from_mapping(REFERENCE)
+    quiet = config_from_mapping({"m": 1.0, "M": 5.0, "alpha": 0.05, "horizon": 10, "J": 10, "N": 1})
+    quiet_traj = run(quiet)
+    special = ErrorReport(
+        events=(
+            EventError(1, math.nan, math.inf, -math.inf, 0.0, True),
+            EventError(2, -0.0, 1e-300, 1.7976931348623157e308, 5e-324, False),
+        ),
+        max_abs_error=math.inf,
+        mean_spacing=None,
+    )
+    cases = [
+        (run(reference), None, reference),
+        (quiet_traj, None, quiet),
+        (quiet_traj, special, None),
+    ]
+    for traj, report, cfg in cases:
+        report = report or compare_with_oracle(traj, cfg)
+        emit_outputs(traj, report, tmp_path)
+        expected = json.dumps(_report_payload(report), indent=2) + "\n"
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
+
+
+def test_cli_commands_run_without_numpy(tmp_path):
+    # A fresh interpreter runs every subcommand and never imports numpy.
+    configs = {
+        "fixed.json": {**REFERENCE, "quadrature": "trapezoid", "snapshot_stride": 3},
+        "adaptive.json": ADAPTIVE,
+    }
+    for name, mapping in configs.items():
+        write_config(tmp_path, mapping, name)
+    script = """
+import sys
+from massgate.cli import main
+for argv in (
+    ["run", "--config", "fixed.json", "--out", "run-fixed"],
+    ["run", "--config", "adaptive.json", "--out", "run-adaptive"],
+    ["compare", "--config", "fixed.json", "--out", "compare"],
+    ["sweep", "--config", "fixed.json", "--out", "sweep", "--n-list", "50,200"],
+    ["oracle", "--config", "fixed.json"],
+):
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+    src = str(Path(massgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "run-fixed" / "snapshots.csv").stat().st_size > len("time,x,u\n")
 
 
 def test_cli_run_reports_switch_past_the_horizon_as_out_of_bound(tmp_path):

@@ -1,7 +1,12 @@
+from array import array
+
 import numpy as np
 import pytest
 
+from massgate.analytic import ControlConfig
+from massgate.controller import CrossingDirection, SwitchEvent
 from massgate.quadrature import QuadratureKind, mass
+from massgate.runner import FixedGrid, RunConfig, Trajectory, compare_with_oracle
 from massgate.stepper import GridSpec
 
 
@@ -10,7 +15,7 @@ def make_grid(cells: int) -> GridSpec:
 
 
 def sampled(fn, grid: GridSpec) -> np.ndarray:
-    return fn(grid.points)
+    return fn(np.asarray(grid.points))
 
 
 def test_trapezoid_exact_for_constants():
@@ -80,4 +85,42 @@ def test_convergence_orders_on_cubic():
 def test_field_length_validation():
     grid = make_grid(4)
     with pytest.raises(ValueError):
-        mass(np.zeros(4), grid, QuadratureKind.TRAPEZOID)
+        mass([0.0] * 4, grid, QuadratureKind.TRAPEZOID)
+
+
+def bits(*values: float) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("cells", [2, 3, 9, 50, 129, 1000, 10000])
+def test_mass_of_a_list_is_numpy_sum_bit_for_bit(cells):
+    # The sums run in numpy's add.reduce order, so over many magnitudes and
+    # signed zeros they round exactly as the array expressions do.
+    rng = np.random.default_rng(cells)
+    grid = make_grid(cells)
+    fields = [np.full(cells + 1, -0.0)]
+    for _ in range(20):
+        u = rng.normal(size=cells + 1) * 10.0 ** rng.uniform(-6.0, 6.0, cells + 1)
+        u[rng.random(cells + 1) < 0.1] = 0.0
+        u[rng.random(cells + 1) < 0.1] = -0.0
+        fields.append(u)
+    for u in fields:
+        riemann = mass(u.tolist(), grid, QuadratureKind.RIEMANN_INTERIOR)
+        trapezoid = mass(u.tolist(), grid, QuadratureKind.TRAPEZOID)
+        assert bits(riemann, trapezoid) == bits(
+            float(grid.dx * u[1:-1].sum()), float(0.5 * grid.dx * (u[:-1] + u[1:]).sum())
+        )
+
+
+@pytest.mark.parametrize("count", [2, 9, 200, 257, 1000])
+def test_mean_spacing_is_numpy_mean_of_diff_bit_for_bit(count):
+    rng = np.random.default_rng(count)
+    control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
+    cfg = RunConfig(control, make_grid(50), QuadratureKind.TRAPEZOID, FixedGrid(steps=200))
+    times = np.cumsum(rng.uniform(0.0, 1.0, count) * 10.0 ** rng.uniform(-3.0, 3.0, count))
+    events = tuple(
+        SwitchEvent(k, t, 0.0, CrossingDirection.REACHED_UPPER) for k, t in enumerate(times.tolist(), start=1)
+    )
+    traj = Trajectory(times=array("d"), masses=array("d"), fluxes=array("b"), snapshots=(), events=events)
+    report = compare_with_oracle(traj, cfg)
+    assert bits(report.mean_spacing) == bits(float(np.mean(np.diff(times))))

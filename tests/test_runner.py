@@ -99,8 +99,8 @@ def test_riemann_mass_trace_is_piecewise_linear_in_steps():
     ):
         traj = run(cfg)
         rate_dt = 2.0 * cfg.control.diffusivity * cfg.mode.stages(cfg.control)[0].dt
-        expected = np.cumsum(rate_dt * traj.fluxes)
-        assert np.max(np.abs(traj.masses - expected)) <= 1e-11
+        expected = np.cumsum(rate_dt * np.asarray(traj.fluxes))
+        assert np.max(np.abs(np.asarray(traj.masses) - expected)) <= 1e-11
 
 
 def test_detection_lag_bounds_randomized():

@@ -134,7 +134,7 @@ def test_step_matches_reference_step_bit_for_bit(cells):
         flux = FluxSign.INFLOW if rng.integers(2) else FluxSign.OUTFLOW
         values = rng.normal(size=cells + 1) * 10.0 ** rng.uniform(-3.0, 3.0)
         values[rng.random(cells + 1) < 0.1] = -0.0
-        new = step(values, flux, assemble(GridSpec(cells), dt, alpha))
+        new = np.asarray(step(values.tolist(), flux, assemble(GridSpec(cells), dt, alpha)))
         expected = reference_step(values, flux, cells, dt, alpha)
         assert np.array_equal(new.view(np.int64), expected.view(np.int64))
 
@@ -153,6 +153,13 @@ def test_pivot_collapse_during_elimination_raises():
 def test_pivot_floor_is_enforced():
     with pytest.raises(SingularPivot):
         TridiagonalMatrix(sub=np.zeros(0), diag=np.array([PIVOT_FLOOR / 10.0]), sup=np.zeros(0))
+
+
+def test_nan_pivot_raises():
+    with pytest.raises(SingularPivot):
+        TridiagonalMatrix(sub=[], diag=[float("nan")], sup=[])
+    with pytest.raises(SingularPivot):
+        TridiagonalMatrix(sub=[1.0], diag=[1.0, float("nan")], sup=[1.0])
 
 
 @pytest.mark.parametrize(
