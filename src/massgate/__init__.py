@@ -9,7 +9,7 @@ adaptively sized grids reproduce them exactly.
 """
 
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time, total_mass
-from .controller import ControllerState, CrossingDirection, SwitchEvent, observe
+from .controller import SwitchEvent, observe
 from .quadrature import QuadratureKind, mass
 from .runner import (
     AdaptiveGrid,
@@ -38,8 +38,6 @@ __all__ = [
     "AdaptiveGrid",
     "ConfigError",
     "ControlConfig",
-    "ControllerState",
-    "CrossingDirection",
     "ErrorReport",
     "EventError",
     "FieldState",

@@ -64,7 +64,12 @@ def _require(
     value = raw.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(key, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
-    return value if integer else float(value)
+    if integer:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(key, "integer too large for a float") from None
 
 
 def config_from_mapping(raw: dict) -> RunConfig:

@@ -37,9 +37,6 @@ class FluxSign(IntEnum):
     INFLOW = 1
     OUTFLOW = -1
 
-    def flipped(self) -> "FluxSign":
-        return FluxSign(-int(self))
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -82,14 +79,18 @@ def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
     """Build and factor the implicit matrix over the J-1 interior unknowns.
 
     Folding the eliminated end values into the first and last rows drops
-    those diagonal entries to 1 + nu.
+    those diagonal entries to 1 + nu.  With one unknown (J = 2) both
+    folds land on the same entry, which is exactly 1.
     """
     nu = diffusion_number(grid, dt, diffusivity)
     unknowns = grid.cells - 1
 
     diag = [1.0 + 2.0 * nu] * unknowns
-    diag[0] -= nu
-    diag[-1] -= nu
+    if unknowns == 1:
+        diag[0] = 1.0  # (1 + 2*nu) - nu - nu rounds to 0 from nu ~ 1e16
+    else:
+        diag[0] -= nu
+        diag[-1] -= nu
     off = [-nu] * (unknowns - 1)
     return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), grid.dx, nu * grid.dx)
 

@@ -130,6 +130,19 @@ def test_non_finite_values_are_rejected(raw, key):
     assert excinfo.value.key == key
 
 
+@pytest.mark.parametrize("key", ["m", "M", "alpha", "horizon"])
+def test_integer_too_large_for_a_float_names_its_key(tmp_path, capsys, key):
+    raw = {**REFERENCE, key: 10**400}
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_mapping(raw)
+    assert excinfo.value.key == key
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"massgate: config error: {key}:")
+    assert len(err.strip().splitlines()) == 1
+    assert "0000" not in err
+
+
 @pytest.mark.parametrize("key", ["m", "M", "alpha", "horizon", "J", "N"])
 def test_missing_required_key(key):
     raw = dict(REFERENCE)
@@ -336,8 +349,6 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
     [
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50, "N": 2},
                      id="singular-pivot-fixed"),
-        pytest.param({"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e300, "J": 2,
-                      "mode": "adaptive", "N0": 20, "Nstage": 1}, id="singular-pivot-adaptive"),
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e300, "horizon": 1e300, "J": 50, "N": 10**6},
                      id="overflowed-diffusion-number"),
         pytest.param({"m": 0.05, "M": 0.2, "alpha": 10, "horizon": 1.7e308, "J": 20,
@@ -356,12 +367,22 @@ def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, confi
     assert len(err.strip().splitlines()) == 1
 
 
+def test_cli_two_cell_run_at_a_huge_diffusion_number_exits_0(tmp_path, capsys):
+    # nu ~ 1e299: the one-unknown step matrix is exactly 1, not singular
+    config = {"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e300, "J": 2,
+              "mode": "adaptive", "N0": 20, "Nstage": 1}
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((out / "mass.csv").read_text(encoding="utf-8").splitlines()) == 1 + 8
+
+
 @pytest.mark.parametrize(
     "config",
     [
         # nu overflows, so the climb's matrix would be NaN
         {"m": 0.1, "M": 1e308, "alpha": 1, "horizon": 1, "J": 50, "mode": "adaptive", "N0": 1, "Nstage": 1},
-        # the climb's matrix would be singular
+        # the climb's first step ends past the horizon
         {"m": 0.1, "M": 1e300, "alpha": 0.2, "horizon": 1e6, "J": 2, "mode": "adaptive", "N0": 20, "Nstage": 1},
     ],
 )

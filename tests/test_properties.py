@@ -2,9 +2,12 @@
 
 Adaptive runs reproduce the closed-form switch times at any threshold
 size and time scale; every config that validation accepts either runs
-to completion or ends in the one-line diagnostic; fixed Riemann runs
-keep the scheme's per-step mass identity; and one step matches a dense
-solve of the same backward-implicit system on small grids.
+to completion or ends in the one-line diagnostic, and survives a round
+trip through its mapping; any mapping at all either builds a config or
+raises ConfigError; fixed Riemann runs keep the scheme's per-step mass
+identity and detect switch k less than (2k - 1) steps late; and one step
+matches a dense solve of the same backward-implicit system on small
+grids.
 """
 
 import contextlib
@@ -19,9 +22,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from massgate.analytic import ConfigError, ControlConfig, switch_spacing, switch_time
-from massgate.cli import config_from_mapping, main
+from massgate.cli import config_from_mapping, config_to_mapping, main
 from massgate.quadrature import QuadratureKind
-from massgate.runner import AdaptiveGrid, FixedGrid, RunConfig, compare_with_oracle, run
+from massgate.runner import STEP_SLACK, AdaptiveGrid, FixedGrid, RunConfig, compare_with_oracle, run
 from massgate.stepper import FluxSign, GridSpec, assemble, diffusion_number, step
 
 EPS = float(np.finfo(float).eps)
@@ -138,6 +141,92 @@ def test_accepted_configs_run_or_give_the_one_line_diagnostic(raw):
         assert len(err.strip().splitlines()) == 1
 
 
+@settings(PROPERTY_SETTINGS, max_examples=120)
+@given(raw=accepted_mappings())
+def test_accepted_configs_round_trip_through_their_mapping(raw):
+    cfg = config_from_mapping(raw)
+    assert config_from_mapping(config_to_mapping(cfg)) == cfg
+
+
+CONFIG_KEYS = ["m", "M", "alpha", "horizon", "J", "N", "N0", "Nstage", "quadrature", "mode", "snapshot_stride"]
+# Edge cases, one of the three kinds of value drawn, so they come up often.
+SPECIAL_VALUES = st.sampled_from(
+    [True, False, None, float("nan"), float("inf"), -float("inf"), 0, -1, 2**63, 10**400, -(10**400),
+     "riemann", "adaptive", [], [1.0], {}, {"m": 1}]
+)
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.one_of(
+    SPECIAL_VALUES,
+    JSON_SCALARS,
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+        max_leaves=4,
+    ),
+)
+
+
+@st.composite
+def arbitrary_mappings(draw):
+    """A valid fixed or adaptive mapping with keys dropped, set to any
+    JSON value, or added, known or unknown."""
+    raw = dict(draw(st.sampled_from([
+        {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": 50, "N": 200},
+        {"m": 0.1, "M": 0.2, "alpha": 1, "horizon": 0.25, "J": 10, "mode": "adaptive", "N0": 10, "Nstage": 5},
+    ])))
+    rarely = st.sampled_from([False] * 7 + [True])  # a dropped or unknown key ends validation early
+    if draw(rarely):
+        del raw[draw(st.sampled_from(sorted(raw)))]
+    raw.update(draw(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES, min_size=1, max_size=3)))
+    if draw(rarely):
+        raw[draw(st.text(max_size=4))] = draw(JSON_VALUES)
+    return raw
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(raw=arbitrary_mappings())
+def test_any_mapping_builds_a_config_or_raises_config_error(raw):
+    try:
+        cfg = config_from_mapping(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def fixed_riemann(alpha, upper, ratio, cells, steps, switches, past) -> RunConfig:
+    """A fixed-grid interior-Riemann run with thresholds ratio * upper and
+    upper, up to ``past`` of a spacing after closed-form switch ``switches``."""
+    probe = ControlConfig(lower=ratio * upper, upper=upper, diffusivity=alpha, horizon=1.0)
+    horizon = switch_time(switches, probe) + past * switch_spacing(probe)
+    return RunConfig(
+        control=ControlConfig(lower=probe.lower, upper=upper, diffusivity=alpha, horizon=horizon),
+        grid=GridSpec(cells=cells),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=FixedGrid(steps=steps),
+    )
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(
+    alpha=log_uniform(-4, 4),
+    upper=log_uniform(-4, 4),
+    ratio=st.floats(0.01, 0.99),
+    cells=st.integers(2, 60),
+    steps=st.integers(1, 2000),
+    switches=st.integers(1, 12),
+    past=st.floats(0.0, 0.9),
+)
+def test_fixed_riemann_switch_k_lags_less_than_2k_minus_1_steps(alpha, upper, ratio, cells, steps, switches, past):
+    # The step that detects a crossing overshoots by up to one increment,
+    # which the flux traverses again after the flip: up to two steps of
+    # lag per switch after the first.  Criterion 5a's k * dt is not met.
+    cfg = fixed_riemann(alpha, upper, ratio, cells, steps, switches, past)
+    dt = cfg.mode.stages(cfg.control)[0].dt
+    for ev in run(cfg).events:
+        lag = ev.time - switch_time(ev.index, cfg.control)
+        assert -STEP_SLACK * dt <= lag < (2 * ev.index - 1) * dt
+
+
 @settings(PROPERTY_SETTINGS, max_examples=40)
 @given(
     alpha=log_uniform(-4, 4),
@@ -152,16 +241,8 @@ def test_fixed_riemann_mass_moves_by_the_rate_times_dt(alpha, upper, ratio, cell
     # The stencil telescopes, so each step adds exactly 2*alpha*dt*s to the
     # interior mass; what is left is roundoff, which the solve scales by
     # up to the diffusion number nu.
-    probe = ControlConfig(lower=ratio * upper, upper=upper, diffusivity=alpha, horizon=1.0)
-    horizon = switch_time(switches, probe) + past * switch_spacing(probe)
-    control = ControlConfig(lower=probe.lower, upper=upper, diffusivity=alpha, horizon=horizon)
-    cfg = RunConfig(
-        control=control,
-        grid=GridSpec(cells=cells),
-        quadrature=QuadratureKind.RIEMANN_INTERIOR,
-        mode=FixedGrid(steps=steps),
-    )
-    dt = cfg.mode.stages(control)[0].dt
+    cfg = fixed_riemann(alpha, upper, ratio, cells, steps, switches, past)
+    dt = cfg.mode.stages(cfg.control)[0].dt
     increment = 2.0 * alpha * dt
     scale = 4.0 * EPS * (1.0 + diffusion_number(cfg.grid, dt, alpha)) * max(upper, increment)
 

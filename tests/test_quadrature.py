@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from massgate.analytic import ControlConfig
-from massgate.controller import CrossingDirection, SwitchEvent
+from massgate.controller import SwitchEvent
 from massgate.quadrature import QuadratureKind, mass
 from massgate.runner import FixedGrid, RunConfig, Trajectory, compare_with_oracle
 from massgate.stepper import GridSpec
@@ -118,9 +118,7 @@ def test_mean_spacing_is_numpy_mean_of_diff_bit_for_bit(count):
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=10.0)
     cfg = RunConfig(control, make_grid(50), QuadratureKind.TRAPEZOID, FixedGrid(steps=200))
     times = np.cumsum(rng.uniform(0.0, 1.0, count) * 10.0 ** rng.uniform(-3.0, 3.0, count))
-    events = tuple(
-        SwitchEvent(k, t, 0.0, CrossingDirection.REACHED_UPPER) for k, t in enumerate(times.tolist(), start=1)
-    )
+    events = tuple(SwitchEvent(k, t, 0.0) for k, t in enumerate(times.tolist(), start=1))
     traj = Trajectory(times=array("d"), masses=array("d"), fluxes=array("b"), snapshots=(), events=events)
     report = compare_with_oracle(traj, cfg)
     assert bits(report.mean_spacing) == bits(float(np.mean(np.diff(times))))

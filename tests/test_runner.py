@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from massgate.analytic import ControlConfig, switch_spacing, switch_time
-from massgate.controller import CrossingDirection, SwitchEvent
+from massgate.controller import SwitchEvent
 from massgate.quadrature import QuadratureKind
 from massgate.runner import (
     AdaptiveGrid,
@@ -396,7 +396,7 @@ def test_spurious_event_is_reported_out_of_bound():
         masses=np.array([0.25]),
         fluxes=np.array([1]),
         snapshots=(),
-        events=(SwitchEvent(5, 0.9, 0.25, CrossingDirection.REACHED_UPPER),),
+        events=(SwitchEvent(5, 0.9, 0.25),),
     )
     (row,) = compare_with_oracle(bogus, cfg).events
     assert row.oracle_time > control.horizon + row.bound

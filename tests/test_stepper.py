@@ -32,6 +32,17 @@ def test_assemble_matches_hand_derivation():
     assert matrix.forcing == pytest.approx(grid.dx)
 
 
+@pytest.mark.parametrize("nu", [4e15, 1e16, 1e300])
+def test_two_cell_diagonal_is_exactly_one_at_any_coupling(nu):
+    # With one unknown both end folds land on one entry, 1 + 2*nu - 2*nu,
+    # which is 1 however large nu is; the step gains 2*nu*dx per step.
+    grid = GridSpec(cells=2)
+    dt = nu * grid.dx**2
+    matrix = assemble(grid, dt, 1.0)
+    assert list(matrix.system.diag) == [1.0]
+    assert step([0.0, 0.0, 0.0], FluxSign.INFLOW, matrix)[1] == 2.0 * nu * grid.dx
+
+
 def test_step_from_zero_flips_with_flux_sign():
     grid, dt = GridSpec(cells=3), 1.0 / 9.0
     matrix = assemble(grid, dt, 1.0)

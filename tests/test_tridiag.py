@@ -34,8 +34,11 @@ def reference_step(values: np.ndarray, flux: FluxSign, cells: int, dt: float, al
     dx = 1.0 / cells
     nu = alpha * dt / dx**2
     diag = np.full(cells - 1, 1.0 + 2.0 * nu)
-    diag[0] -= nu
-    diag[-1] -= nu
+    if cells == 2:
+        diag[0] = 1.0  # both end folds on the one entry: exactly 1
+    else:
+        diag[0] -= nu
+        diag[-1] -= nu
     off = np.full(cells - 2, -nu)
     rhs = np.array(values[1:-1], dtype=float)
     forcing = nu * dx * float(flux)
