@@ -65,6 +65,8 @@ def _require(
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(key, f"must be {'an integer' if integer else 'a number'}, got {value!r}")
     if integer:
+        if not -sys.maxsize < value < sys.maxsize:  # J + 1 field values must fit an index
+            raise ConfigError(key, f"must be less than {sys.maxsize}, a machine index, in magnitude")
         return value
     try:
         return float(value)
@@ -233,47 +235,43 @@ def _report_payload(report: ErrorReport) -> dict:
 def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
-    Times, masses and field values are printed with 10 decimal places;
-    rows ascend in time.  All snapshots must share one spatial grid, as
-    those of one run do.  Raises OSError on unwritable paths.
+    Times, masses and field values are printed with 10 decimal places and
+    ``bound`` as its shortest round-trip repr; rows ascend in time.  Each
+    file has one printf-style byte template, built once, and is streamed
+    with one ``writelines`` over its rows, never joined whole in memory.
+    A snapshot's template holds every node's row with x_j filled in, so
+    one ``%`` prints the whole snapshot.  Files are binary, so every line
+    ends in a bare newline on every platform.  All snapshots must share
+    one spatial grid, as those of one run do: ValueError otherwise, before
+    any file is written.  Raises OSError on unwritable paths.
     """
+    snapshots = traj.snapshots
+    width = len(snapshots[0].values) if snapshots else 0
+    if any(len(snap.values) != width for snap in snapshots):
+        raise ValueError("all snapshots must share one spatial grid")
+    # one row per node: the snapshot time is joined in front of each
+    # row, then x_j, then a slot for u_j
+    node_rows = [b"", *(b",%.10f,%%.10f\n" % (j / (width - 1)) for j in range(width))]
+    files = (
+        ("switches.csv", b"k,T_k,t_k,err,bound,within_bound\n",
+         (b"%d,%.10f,%.10f,%.10f,%r,%s\n" % (row.index, row.computed_time, row.oracle_time, row.error,
+                                             row.bound, b"true" if row.within_bound else b"false")
+          for row in report.events)),
+        ("mass.csv", b"time,mass,flux\n",
+         map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes))),
+        ("snapshots.csv", b"time,x,u\n",
+         ((b"%.10f" % snap.time).join(node_rows) % tuple(snap.values) for snap in snapshots)),
+        ("report.json", _report_json(report).encode(), ()),
+    )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-
-    path = out / "switches.csv"
-    with path.open("w", encoding="utf-8") as f:
-        f.write("k,T_k,t_k,err,bound,within_bound\n")
-        for row in report.events:
-            f.write(
-                f"{row.index},{_fmt(row.computed_time)},{_fmt(row.oracle_time)},"
-                f"{_fmt(row.error)},{row.bound},{'true' if row.within_bound else 'false'}\n"
-            )
-    written.append(path)
-
-    path = out / "mass.csv"
-    with path.open("w", encoding="utf-8") as f:
-        f.write("time,mass,flux\n")
-        for t, mu, s in zip(traj.times.tolist(), traj.masses.tolist(), traj.fluxes.tolist()):
-            f.write(f"{_fmt(t)},{_fmt(mu)},{s:d}\n")
-    written.append(path)
-
-    path = out / "snapshots.csv"
-    with path.open("w", encoding="utf-8") as f:
-        f.write("time,x,u\n")
-        if traj.snapshots:
-            cells = len(traj.snapshots[0].values) - 1
-            # one row per node: the snapshot time, then x_j, then u_j
-            rows = "".join(f"{{0}},{_fmt(j / cells)},{{{j + 1}:.10f}}\n" for j in range(cells + 1))
-            for snap in traj.snapshots:
-                f.write(rows.format(_fmt(snap.time), *snap.values.tolist()))
-    written.append(path)
-
-    path = out / "report.json"
-    with path.open("w", encoding="utf-8") as f:
-        f.write(_report_json(report))
-    written.append(path)
-
+    for name, header, rows in files:
+        path = out / name
+        with path.open("wb") as f:
+            f.write(header)
+            f.writelines(rows)
+        written.append(path)
     log.info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
@@ -445,9 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # ConfigError and every other library ValueError
         print(f"massgate: config error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:  # per-step columns of a huge step count
-        print(f"massgate: config error: out of memory: {str(exc) or 'the per-step columns do not fit'}",
-              file=sys.stderr)
+    except MemoryError as exc:  # the field of a huge J, or the per-step columns of a huge step count
+        detail = str(exc) or "the field or the per-step columns do not fit"
+        print(f"massgate: config error: out of memory: {detail}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # SingularPivot, overflow, zero division at extreme values
         print(f"massgate: config error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import pairwise
@@ -55,8 +56,9 @@ class Stage:
 
 
 def _steps_to_horizon(start: float, dt: float, horizon: float) -> int:
-    """Steps of size dt from ``start`` until a step ends at or past the horizon."""
-    return max(0, math.ceil((horizon - start) / dt - STEP_SLACK))
+    """Steps of size dt from ``start`` until a step ends at or past the
+    horizon; any count past a machine index comes out as 2**63."""
+    return max(0, math.ceil(min((horizon - start) / dt - STEP_SLACK, 2.0**63)))
 
 
 @dataclass(frozen=True)
@@ -188,6 +190,8 @@ def run(config: RunConfig) -> Trajectory:
     control = config.control
     stages = config.mode.stages(control)
     total = sum(stage.steps for stage in stages)
+    if total > sys.maxsize:  # an adaptive schedule up to a far horizon
+        raise ConfigError("horizon", "more time steps up to it than a machine index can count")
 
     values = [0.0] * (grid.cells + 1)
     events: list[SwitchEvent] = []

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,16 @@ from massgate.cli import (
 )
 from massgate.analytic import switch_time
 from massgate.quadrature import QuadratureKind
-from massgate.runner import AdaptiveGrid, ErrorReport, EventError, FixedGrid, compare_with_oracle, run
+from massgate.runner import (
+    AdaptiveGrid,
+    ErrorReport,
+    EventError,
+    FieldState,
+    FixedGrid,
+    Trajectory,
+    compare_with_oracle,
+    run,
+)
 
 REFERENCE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": 50, "N": 200}
 ADAPTIVE = {
@@ -143,6 +153,47 @@ def test_integer_too_large_for_a_float_names_its_key(tmp_path, capsys, key):
     assert "0000" not in err
 
 
+@pytest.mark.parametrize("huge", [2**63, 10**400], ids=["2**63", "10**400"])
+@pytest.mark.parametrize("key", ["J", "N", "N0", "Nstage"])
+def test_integer_past_a_machine_index_names_its_key(tmp_path, capsys, key, huge):
+    raw = {**(ADAPTIVE if key in ("N0", "Nstage") else REFERENCE), key: huge}
+    with pytest.raises(ConfigError) as excinfo:
+        config_from_mapping(raw)
+    assert excinfo.value.key == key
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"massgate: config error: {key}:")
+    assert len(err.strip().splitlines()) == 1
+    assert str(huge) not in err
+
+
+@pytest.mark.parametrize("key", ["J", "N"])
+def test_largest_indexable_size_is_out_of_memory(tmp_path, capsys, key):
+    # J + 1 field values or N per-step values: the size check fails at once
+    raw = {**REFERENCE, key: sys.maxsize - 1}
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "massgate: config error: out of memory: the field or the per-step columns do not fit\n"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param({**ADAPTIVE, "horizon": 1e300}, id="horizon-1e300"),
+        pytest.param({**ADAPTIVE, "m": 1e-300, "M": 2e-300, "horizon": 1e10, "N0": 1}, id="infinite-count"),
+    ],
+)
+def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, raw):
+    cfg = config_from_mapping(raw)
+    with pytest.raises(ConfigError) as excinfo:
+        run(cfg)
+    assert excinfo.value.key == "horizon"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error: horizon:")
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("key", ["m", "M", "alpha", "horizon", "J", "N"])
 def test_missing_required_key(key):
     raw = dict(REFERENCE)
@@ -207,6 +258,20 @@ def test_emit_outputs_without_events_writes_header_only(tmp_path):
     payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert payload["events"] == []
     assert payload["summary"]["max_abs_error"] is None
+
+
+def test_emit_outputs_rejects_snapshots_on_different_grids(tmp_path):
+    traj = Trajectory(
+        times=array("d", [1.0, 2.0]),
+        masses=array("d", [0.1, 0.2]),
+        fluxes=array("b", [1, 1]),
+        snapshots=(FieldState(array("d", [0.0, 1.0, 2.0]), 1.0),
+                   FieldState(array("d", [0.0, 1.0, 2.0, 3.0, 4.0]), 2.0)),
+        events=(),
+    )
+    with pytest.raises(ValueError, match="one spatial grid"):
+        emit_outputs(traj, ErrorReport(events=(), max_abs_error=None, mean_spacing=None), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_emitted_snapshots_show_rising_profiles_during_first_stage(tmp_path):
