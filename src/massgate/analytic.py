@@ -10,7 +10,7 @@ These values are the ground truth the numerical runs are compared to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class ConfigError(ValueError):
@@ -23,8 +23,7 @@ class ConfigError(ValueError):
         super().__init__(f"{key}: {message}")
 
 
-@dataclass(frozen=True)
-class ControlConfig:
+class ControlConfig(namedtuple("ControlConfig", "lower upper diffusivity horizon")):
     """Thresholds and physics of one controlled run.
 
     lower, upper:  mass thresholds, 0 < lower < upper
@@ -34,22 +33,20 @@ class ControlConfig:
     All four must be finite: the checks below are false for NaN and inf.
     """
 
-    lower: float
-    upper: float
-    diffusivity: float
-    horizon: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.lower < self.upper < math.inf:
+    def __new__(cls, lower: float, upper: float, diffusivity: float, horizon: float) -> ControlConfig:
+        self = super().__new__(cls, lower, upper, diffusivity, horizon)
+        if not 0.0 < lower < upper < math.inf:
             raise ConfigError(
                 "lower",
-                f"thresholds must satisfy 0 < lower < upper < inf, "
-                f"got lower={self.lower}, upper={self.upper}",
+                f"thresholds must satisfy 0 < lower < upper < inf, got lower={lower}, upper={upper}",
             )
         if not 0.0 < mass_rate(self) < math.inf:
-            raise ConfigError("diffusivity", f"must be positive, with 2 * diffusivity finite, got {self.diffusivity}")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigError("horizon", f"must be positive and finite, got {self.horizon}")
+            raise ConfigError("diffusivity", f"must be positive, with 2 * diffusivity finite, got {diffusivity}")
+        if not 0.0 < horizon < math.inf:
+            raise ConfigError("horizon", f"must be positive and finite, got {horizon}")
+        return self
 
 
 def mass_rate(control: ControlConfig) -> float:

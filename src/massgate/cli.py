@@ -23,10 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
@@ -49,7 +47,7 @@ _QUADRATURES = {"riemann", "trapezoid"}
 _MODES = {"fixed", "adaptive"}
 # `oracle` rejects a horizon with more closed-form switches than this.
 MAX_ORACLE_ROWS = 1_000_000
-# Config dataclass field -> config key, for fields whose names differ.
+# Config record field -> config key, for fields whose names differ.
 _FIELD_KEYS = {"lower": "m", "upper": "M", "diffusivity": "alpha", "cells": "J",
                "steps": "N", "first_stage_steps": "N0", "stage_steps": "Nstage"}
 
@@ -78,7 +76,7 @@ def config_from_mapping(raw: dict) -> RunConfig:
     """Validate a flat config mapping and build the run configuration.
 
     Key names and value types are checked here, value invariants by the
-    config dataclasses, whose errors are re-keyed to config keys."""
+    config records, whose errors are re-keyed to config keys."""
     for key in raw:
         if key not in _KEYS:
             raise ConfigError(key, "unknown key")
@@ -116,13 +114,22 @@ def config_from_mapping(raw: dict) -> RunConfig:
             mode=mode,
             snapshot_stride=stride,
         )
-    except ConfigError as exc:  # dataclass field names -> config keys; CLI keys pass through
+    except ConfigError as exc:  # record field names -> config keys; CLI keys pass through
         raise ConfigError(_FIELD_KEYS.get(exc.key, exc.key), exc.message) from exc
+
+
+def _json_value(text: str, key: str):
+    """json.loads(text); a document nested past the recursion limit is a
+    ConfigError on ``key``, which does not echo it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ConfigError(key, "JSON nested too deeply") from None
 
 
 def _json_object(text: str) -> dict:
     try:
-        raw = json.loads(text)
+        raw = _json_value(text, "config")
     except json.JSONDecodeError as exc:
         raise ConfigError("config", f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -165,71 +172,42 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
-# report.json as json.dumps(_report_payload(report), indent=2) lays it out;
-# filling this in avoids the json module's pure-Python indenting encoder.
-_REPORT_EVENT = """\
-    {{
-      "k": {},
-      "T_k": {},
-      "t_k": {},
-      "err": {},
-      "bound": {},
-      "within_bound": {}
-    }}"""
-_REPORT = """\
-{{
-  "events": {},
-  "summary": {{
-    "max_abs_error": {},
-    "mean_spacing": {}
-  }}
-}}
+# report.json as json.dumps(..., indent=2) lays it out, every value
+# printed with %r; each event row is one % of its EventError.  Where repr
+# and JSON spell a value differently, _JSON_SPELLINGS maps one to the
+# other over the whole text, which is safe because no key contains them.
+_REPORT_EVENT = b"""\
+    {
+      "k": %r,
+      "T_k": %r,
+      "t_k": %r,
+      "err": %r,
+      "bound": %r,
+      "within_bound": %r
+    }"""
+_REPORT = b"""\
+{
+  "events": %s,
+  "summary": {
+    "max_abs_error": %r,
+    "mean_spacing": %r
+  }
+}
 """
+_JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"),
+                   (b"True", b"true"), (b"False", b"false"))
 
 
-def _json_scalar(value: float | int | bool | None) -> str:
-    """``value`` as json.dumps writes it, NaN and +-Infinity included."""
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if not isinstance(value, float):
-        return int.__repr__(value)
-    if math.isfinite(value):
-        return float.__repr__(value)
-    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
-
-
-def _report_json(report: ErrorReport) -> str:
-    """report.json's text, byte for byte json.dumps(_report_payload(report),
-    indent=2) plus a newline."""
-    rows = ",\n".join(
-        _REPORT_EVENT.format(*map(_json_scalar, (row.index, row.computed_time, row.oracle_time,
-                                                 row.error, row.bound, row.within_bound)))
-        for row in report.events
-    )
-    events = f"[\n{rows}\n  ]" if rows else "[]"
-    return _REPORT.format(events, _json_scalar(report.max_abs_error), _json_scalar(report.mean_spacing))
-
-
-def _report_payload(report: ErrorReport) -> dict:
-    return {
-        "events": [
-            {
-                "k": row.index,
-                "T_k": row.computed_time,
-                "t_k": row.oracle_time,
-                "err": row.error,
-                "bound": row.bound,
-                "within_bound": row.within_bound,
-            }
-            for row in report.events
-        ],
-        "summary": {
-            "max_abs_error": report.max_abs_error,
-            "mean_spacing": report.mean_spacing,
-        },
-    }
+def _report_json(report: ErrorReport) -> bytes:
+    """report.json's bytes: json.dumps of the events (keys k, T_k, t_k,
+    err, bound, within_bound) and the summary (max_abs_error,
+    mean_spacing) with indent=2, plus a newline.  The values must be
+    Python scalars, as ``compare_with_oracle`` builds them."""
+    rows = b",\n".join(map(_REPORT_EVENT.__mod__, report.events))
+    text = _REPORT % (b"[\n%s\n  ]" % rows if rows else b"[]", report.max_abs_error, report.mean_spacing)
+    for spelling, json_spelling in _JSON_SPELLINGS:
+        text = text.replace(spelling, json_spelling)
+    return text
 
 
 def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> list[Path]:
@@ -261,7 +239,7 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
          map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes))),
         ("snapshots.csv", b"time,x,u\n",
          ((b"%.10f" % snap.time).join(node_rows) % tuple(snap.values) for snap in snapshots)),
-        ("report.json", _report_json(report).encode(), ()),
+        ("report.json", _report_json(report), ()),
     )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,7 +257,7 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
 def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
     try:
         text = Path(config_path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("config", f"cannot read {config_path}: {exc}") from exc
     raw = _json_object(text)
     for item in overrides or []:
@@ -287,7 +265,7 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
         if not sep:
             raise ConfigError(key or item, "override must look like key=value")
         try:
-            raw[key] = json.loads(value)
+            raw[key] = _json_value(value, key)
         except json.JSONDecodeError:
             raw[key] = value
     return raw
@@ -328,17 +306,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if not isinstance(run_config.mode, FixedGrid):
         raise ConfigError("mode", "compare runs both quadratures and requires fixed mode")
     out = Path(args.out)
-    payload = {}
+    control, grid, _, mode, stride = run_config
+    reports = []
     for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
-        variant = replace(run_config, quadrature=kind)
+        # a new RunConfig, not _replace, so that the variant is validated
+        variant = RunConfig(control, grid, kind, mode, stride)
         traj = run(variant)
         report = compare_with_oracle(traj, variant)
         emit_outputs(traj, report, out / kind.value)
-        payload[kind.value] = _report_payload(report)
-    path = out / "compare.json"
-    with path.open("w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+        # each report.json, less its final newline, two spaces in under its key
+        text = _report_json(report)[:-1].replace(b"\n", b"\n  ")
+        reports.append(b'  "%s": %s' % (kind.value.encode(), text))
+    (out / "compare.json").write_bytes(b"{\n%s\n}\n" % b",\n".join(reports))
     print(f"side-by-side reports in {out}")
     return 0
 

@@ -12,20 +12,17 @@ supplies, since only the caller knows the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analytic import ControlConfig
 from .stepper import FluxSign
 
 
-@dataclass(frozen=True)
-class SwitchEvent:
+class SwitchEvent(namedtuple("SwitchEvent", "index time mass_at_switch")):
     """The ``index``-th detected threshold crossing, counted from 1: an
     odd index is an upper crossing, an even index a lower one."""
 
-    index: int
-    time: float
-    mass_at_switch: float
+    __slots__ = ()
 
 
 def observe(

@@ -95,10 +95,11 @@ def pairwise_sum(values: Sequence[float]) -> float:
 
 def mass(u: Sequence[float], grid: GridSpec, kind: QuadratureKind) -> float:
     """Total mass of the samples U_0..U_J under the chosen quadrature."""
-    if len(u) != grid.cells + 1:
-        raise ValueError(f"field has {len(u)} values, grid expects {grid.cells + 1}")
+    cells = grid.cells
+    if len(u) != cells + 1:
+        raise ValueError(f"field has {len(u)} values, grid expects {cells + 1}")
     if kind is QuadratureKind.RIEMANN_INTERIOR:
-        return grid.dx * (0.0 + _pairwise(_values_block, u, 1, grid.cells - 1))
+        return grid.dx * (0.0 + _pairwise(_values_block, u, 1, cells - 1))
     if kind is QuadratureKind.TRAPEZOID:
-        return 0.5 * grid.dx * (0.0 + _pairwise(_pairs_block, u, 0, grid.cells))
+        return 0.5 * grid.dx * (0.0 + _pairwise(_pairs_block, u, 0, cells))
     raise ValueError(f"unknown quadrature kind: {kind!r}")

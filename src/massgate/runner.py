@@ -22,7 +22,7 @@ import logging
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import pairwise
 
 from . import analytic
@@ -42,13 +42,10 @@ log = logging.getLogger(__name__)
 STEP_SLACK = 1e-6
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(namedtuple("Stage", "start dt steps")):
     """``steps`` steps of size ``dt``; step i (1-based) ends at start + i * dt."""
 
-    start: float
-    dt: float
-    steps: int
+    __slots__ = ()
 
     @property
     def end(self) -> float:
@@ -61,32 +58,31 @@ def _steps_to_horizon(start: float, dt: float, horizon: float) -> int:
     return max(0, math.ceil(min((horizon - start) / dt - STEP_SLACK, 2.0**63)))
 
 
-@dataclass(frozen=True)
-class FixedGrid:
+class FixedGrid(namedtuple("FixedGrid", "steps")):
     """``steps`` uniform steps over the whole run."""
 
-    steps: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ConfigError("steps", f"need at least 1 time step, got {self.steps}")
+    def __new__(cls, steps: int) -> FixedGrid:
+        if steps < 1:
+            raise ConfigError("steps", f"need at least 1 time step, got {steps}")
+        return super().__new__(cls, steps)
 
     def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
         return (Stage(start=0.0, dt=control.horizon / self.steps, steps=self.steps),)
 
 
-@dataclass(frozen=True)
-class AdaptiveGrid:
+class AdaptiveGrid(namedtuple("AdaptiveGrid", "first_stage_steps stage_steps")):
     """Stage-sized time steps that hit the thresholds exactly."""
 
-    first_stage_steps: int
-    stage_steps: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.first_stage_steps < 1:
-            raise ConfigError("first_stage_steps", f"must be >= 1, got {self.first_stage_steps}")
-        if self.stage_steps < 1:
-            raise ConfigError("stage_steps", f"must be >= 1, got {self.stage_steps}")
+    def __new__(cls, first_stage_steps: int, stage_steps: int) -> AdaptiveGrid:
+        if first_stage_steps < 1:
+            raise ConfigError("first_stage_steps", f"must be >= 1, got {first_stage_steps}")
+        if stage_steps < 1:
+            raise ConfigError("stage_steps", f"must be >= 1, got {stage_steps}")
+        return super().__new__(cls, first_stage_steps, stage_steps)
 
     def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
         """The climb from zero mass to the upper threshold, then steps that
@@ -106,74 +102,64 @@ class AdaptiveGrid:
         return (climb, Stage(start=climb.end, dt=dt, steps=steps))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one simulation needs."""
+class RunConfig(namedtuple("RunConfig", "control grid quadrature mode snapshot_stride")):
+    """Everything one simulation needs: a ``ControlConfig``, a ``GridSpec``,
+    a ``QuadratureKind``, a ``FixedGrid`` or ``AdaptiveGrid`` and the
+    snapshot stride (0 = no snapshots)."""
 
-    control: ControlConfig
-    grid: GridSpec
-    quadrature: QuadratureKind
-    mode: FixedGrid | AdaptiveGrid
-    snapshot_stride: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.snapshot_stride < 0:
-            raise ConfigError("snapshot_stride", f"must be >= 0, got {self.snapshot_stride}")
+    def __new__(cls, control: ControlConfig, grid: GridSpec, quadrature: QuadratureKind,
+                mode: FixedGrid | AdaptiveGrid, snapshot_stride: int = 0) -> RunConfig:
+        if snapshot_stride < 0:
+            raise ConfigError("snapshot_stride", f"must be >= 0, got {snapshot_stride}")
         # Only the interior Riemann mass advances by exactly 2 * diffusivity
         # * dt per step, which lands the adaptive stage ends on the thresholds.
-        riemann = self.quadrature is QuadratureKind.RIEMANN_INTERIOR
-        if isinstance(self.mode, AdaptiveGrid) and not riemann:
+        riemann = quadrature is QuadratureKind.RIEMANN_INTERIOR
+        if isinstance(mode, AdaptiveGrid) and not riemann:
             raise ConfigError("quadrature", "adaptive grids require the interior Riemann quadrature")
+        return super().__new__(cls, control, grid, quadrature, mode, snapshot_stride)
 
 
-@dataclass(frozen=True, eq=False)
-class FieldState:
+class FieldState(namedtuple("FieldState", "values time")):
     """A snapshot: concentration samples U_0..U_J at one time, stored by
     a run as an ``array('d')``."""
 
-    values: array
-    time: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "times masses fluxes snapshots events")):
     """Per-step record of one run: times, masses and the flux sign used
-    for each step, optional field snapshots, and the detected switches.
+    for each step, a tuple of ``FieldState`` snapshots, and the tuple of
+    detected ``SwitchEvent``s.
 
     A run stores the columns as ``array('d')`` (times, masses) and
     ``array('b')`` (fluxes); ``numpy.asarray`` takes them without a copy.
     """
 
-    times: array
-    masses: array
-    fluxes: array
-    snapshots: tuple[FieldState, ...]
-    events: tuple[SwitchEvent, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not all(a < b for a, b in pairwise(self.times)):
+    def __new__(cls, times: array, masses: array, fluxes: array, snapshots: tuple,
+                events: tuple) -> Trajectory:
+        if not all(a < b for a, b in pairwise(times)):
             raise ValueError("sample times must be strictly increasing")
-        if not all(map(math.isfinite, self.masses)):
+        if not all(map(math.isfinite, masses)):
             raise ValueError("mass samples must be finite")
+        return super().__new__(cls, times, masses, fluxes, snapshots, events)
 
 
-@dataclass(frozen=True)
-class EventError:
+class EventError(namedtuple("EventError", "index computed_time oracle_time error bound within_bound")):
     """One detected switch paired with its closed-form counterpart."""
 
-    index: int
-    computed_time: float
-    oracle_time: float
-    error: float
-    bound: float
-    within_bound: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    events: tuple[EventError, ...]
-    max_abs_error: float | None
-    mean_spacing: float | None
+class ErrorReport(namedtuple("ErrorReport", "events max_abs_error mean_spacing")):
+    """The ``EventError`` of every detected switch, their largest |error|
+    (None without switches) and the mean time between switches (None
+    with fewer than two)."""
+
+    __slots__ = ()
 
 
 def run(config: RunConfig) -> Trajectory:
@@ -186,9 +172,8 @@ def run(config: RunConfig) -> Trajectory:
     clock, so the times carry no running-sum drift.  Deterministic:
     identical configs give identical output.
     """
-    grid = config.grid
-    control = config.control
-    stages = config.mode.stages(control)
+    control, grid, quadrature, mode, stride = config
+    stages = mode.stages(control)
     total = sum(stage.steps for stage in stages)
     if total > sys.maxsize:  # an adaptive schedule up to a far horizon
         raise ConfigError("horizon", "more time steps up to it than a machine index can count")
@@ -203,21 +188,21 @@ def run(config: RunConfig) -> Trajectory:
     snapshots: list[FieldState] = []
 
     n = 0
-    for stage in stages:
-        if not stage.steps:
+    for start, dt, steps in stages:
+        if not steps:
             continue  # its dt, sized past the horizon, may not even factor
-        matrix = assemble(grid, stage.dt, control.diffusivity)
-        window = STEP_SLACK * analytic.mass_rate(control) * stage.dt
-        for i in range(1, stage.steps + 1):
-            time = stage.start + i * stage.dt
+        matrix = assemble(grid, dt, control.diffusivity)
+        window = STEP_SLACK * analytic.mass_rate(control) * dt
+        for i in range(1, steps + 1):
+            time = start + i * dt
             values = step(values, flux, matrix)
-            mu = mass(values, grid, config.quadrature)
+            mu = mass(values, grid, quadrature)
             times[n] = time
             masses[n] = mu
             fluxes[n] = flux
             n += 1
-            if config.snapshot_stride and n % config.snapshot_stride == 0:
-                snapshots.append(FieldState(values=array("d", values), time=time))
+            if stride and n % stride == 0:
+                snapshots.append(FieldState(array("d", values), time))
             flux = observe(events, mu, time, control, window)
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
@@ -237,26 +222,23 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
     with dt the step that detected it.  A switch detected before its
     closed-form time, including one whose closed-form time lies past the
     horizon, has a negative error and is reported out of bound.
+
+    The events must ascend in time, as ``observe`` appends them, so one
+    pass over the stages finds each event's dt.
     """
     control = run_config.control
-    stages = run_config.mode.stages(control)
+    stages = iter(run_config.mode.stages(control))
+    stage = next(stages)
+    end, dt = stage.end, stage.dt
     rows = []
-    for ev in traj.events:
-        oracle_time = analytic.switch_time(ev.index, control)
-        # dt of the step that detected the switch
-        dt = next((stage.dt for stage in stages if ev.time <= stage.end), stages[-1].dt)
-        bound = ev.index * dt
-        error = ev.time - oracle_time
-        rows.append(
-            EventError(
-                index=ev.index,
-                computed_time=ev.time,
-                oracle_time=oracle_time,
-                error=error,
-                bound=bound,
-                within_bound=bool(-STEP_SLACK * dt <= error < bound),
-            )
-        )
+    for index, time, _ in traj.events:
+        # dt of the step that detected the switch; the last stage's past its end
+        while time > end and (stage := next(stages, None)) is not None:
+            end, dt = stage.end, stage.dt
+        oracle_time = analytic.switch_time(index, control)
+        bound = index * dt
+        error = time - oracle_time
+        rows.append(EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound))
 
     event_times = [ev.time for ev in traj.events]
     max_abs_error = max(abs(r.error) for r in rows) if rows else None

@@ -23,8 +23,8 @@ time grids exact.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import IntEnum
 
 from .analytic import ConfigError
@@ -38,17 +38,17 @@ class FluxSign(IntEnum):
     OUTFLOW = -1
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "cells")):
     """Uniform spatial discretization: ``cells`` intervals of width
     dx = 1/cells.  The time step is not part of the grid; each stage of
     a run's time grid supplies its own dt."""
 
-    cells: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.cells < 2:
-            raise ConfigError("cells", f"need at least 2 spatial cells, got {self.cells}")
+    def __new__(cls, cells: int) -> GridSpec:
+        if cells < 2:
+            raise ConfigError("cells", f"need at least 2 spatial cells, got {cells}")
+        return super().__new__(cls, cells)
 
     @property
     def dx(self) -> float:
@@ -66,13 +66,12 @@ def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     return diffusivity * dt / grid.dx**2
 
 
-@dataclass(frozen=True, eq=False)
-class StepMatrix:
-    """The factored step matrix of one grid, dt and diffusivity."""
+class StepMatrix(namedtuple("StepMatrix", "system dx forcing")):
+    """The factored step matrix of one grid, dt and diffusivity: the
+    ``TridiagonalMatrix``, dx and nu * dx, the flux term of the end rows'
+    right-hand side."""
 
-    system: TridiagonalMatrix
-    dx: float
-    forcing: float  # nu * dx, the flux term of the end rows' right-hand side
+    __slots__ = ()
 
 
 def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:

@@ -16,7 +16,6 @@ import massgate
 from massgate.cli import (
     ConfigError,
     _log_level,
-    _report_payload,
     config_from_mapping,
     config_to_mapping,
     emit_outputs,
@@ -59,6 +58,28 @@ def write_config(tmp_path, mapping, name="config.json"):
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as f:
         return list(csv.DictReader(f))
+
+
+def report_payload(report: ErrorReport) -> dict:
+    """The report as the json.dump writer of report.json built it, kept as
+    the reference for the byte template."""
+    return {
+        "events": [
+            {
+                "k": row.index,
+                "T_k": row.computed_time,
+                "t_k": row.oracle_time,
+                "err": row.error,
+                "bound": row.bound,
+                "within_bound": row.within_bound,
+            }
+            for row in report.events
+        ],
+        "summary": {
+            "max_abs_error": report.max_abs_error,
+            "mean_spacing": report.mean_spacing,
+        },
+    }
 
 
 def test_parse_reference_config():
@@ -482,7 +503,7 @@ def test_report_json_is_json_dumps_with_indent(tmp_path):
     for traj, report, cfg in cases:
         report = report or compare_with_oracle(traj, cfg)
         emit_outputs(traj, report, tmp_path)
-        expected = json.dumps(_report_payload(report), indent=2) + "\n"
+        expected = json.dumps(report_payload(report), indent=2) + "\n"
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == expected
 
 
@@ -513,6 +534,47 @@ assert "numpy" not in sys.modules, "numpy was imported"
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "run-fixed" / "snapshots.csv").stat().st_size > len("time,x,u\n")
+
+
+def test_cli_import_skips_dataclasses_inspect_and_typing():
+    # Without site, so that no .pth file imports typing first.
+    script = """
+import sys
+import massgate.cli
+loaded = [name for name in ("dataclasses", "inspect", "typing") if name in sys.modules]
+assert not loaded, loaded
+"""
+    src = str(Path(massgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_cli_deeply_nested_config_is_a_one_line_diagnostic(tmp_path, capsys, where):
+    nested = "[" * 100000
+    if where == "file":
+        config_path = tmp_path / "config.json"
+        config_path.write_text(nested, encoding="utf-8")
+        argv, key = [], "config"
+    else:
+        config_path = write_config(tmp_path, REFERENCE)
+        argv, key = ["--set", "m=" + nested[:50000]], "m"
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"massgate: config error: {key}:")
+    assert len(err.strip().splitlines()) == 1
+    assert "[[" not in err
+
+
+def test_cli_undecodable_config_names_the_config(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(b"\xff\xfe" + json.dumps(REFERENCE).encode())
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error: config: cannot read")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_run_reports_switch_past_the_horizon_as_out_of_bound(tmp_path):

@@ -14,12 +14,34 @@ from array import array
 
 import pytest
 
-from massgate.cli import _report_payload, emit_outputs
+from massgate.cli import emit_outputs
 from massgate.runner import ErrorReport, EventError, FieldState, Trajectory
 
 
 def _fmt(value: float) -> str:
     return f"{value:.10f}"
+
+
+def report_payload(report: ErrorReport) -> dict:
+    """The report as the json.dump writer of report.json built it, kept as
+    the reference for the byte template."""
+    return {
+        "events": [
+            {
+                "k": row.index,
+                "T_k": row.computed_time,
+                "t_k": row.oracle_time,
+                "err": row.error,
+                "bound": row.bound,
+                "within_bound": row.within_bound,
+            }
+            for row in report.events
+        ],
+        "summary": {
+            "max_abs_error": report.max_abs_error,
+            "mean_spacing": report.mean_spacing,
+        },
+    }
 
 
 def reference_files(traj: Trajectory, report: ErrorReport) -> dict[str, bytes]:
@@ -41,7 +63,7 @@ def reference_files(traj: Trajectory, report: ErrorReport) -> dict[str, bytes]:
         "switches.csv": switches.encode(),
         "mass.csv": mass.encode(),
         "snapshots.csv": snapshots.encode(),
-        "report.json": (json.dumps(_report_payload(report), indent=2) + "\n").encode(),
+        "report.json": (json.dumps(report_payload(report), indent=2) + "\n").encode(),
     }
 
 
