@@ -25,6 +25,7 @@ import json
 import logging
 import os
 import sys
+from array import array
 from pathlib import Path
 
 from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
@@ -210,26 +211,115 @@ def _report_json(report: ErrorReport) -> bytes:
     return text
 
 
-def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> list[Path]:
+def _snapshot_formatter():
+    """``format_snapshot(values, time)``, which prints one snapshot as its
+    snapshots.csv rows with one ``%`` of a byte template that the first
+    call builds for its number of values, every node's x_j filled in."""
+    node_rows: list[bytes] = []
+
+    def format_snapshot(values, time: float) -> bytes:
+        if not node_rows:
+            # one row per node: the snapshot time is joined in front of
+            # each row, then x_j, then a slot for u_j
+            width = len(values)
+            node_rows.extend([b"", *(b",%.10f,%%.10f\n" % (j / (width - 1)) for j in range(width))])
+        return (b"%.10f" % time).join(node_rows) % tuple(values)
+
+    return format_snapshot
+
+
+def _format_records(pipe: int, file, width: int) -> None:
+    """The helper process: format each (values..., time) record from the
+    pipe into ``file``.  Exits 0, an OSError's errno, or 255 otherwise."""
+    code = 255
+    try:
+        format_snapshot, record = _snapshot_formatter(), width + 1
+        with open(pipe, "rb") as records, file:
+            file.write(b"time,x,u\n")
+            while data := records.read(8 * record * max(1, 8192 // record)):  # ~64 KiB of whole records
+                batch = array("d", data).tolist()
+                file.writelines(format_snapshot(batch[i:i + width], batch[i + width])
+                                for i in range(0, len(batch), record))
+        code = 0
+    except OSError as exc:
+        code = exc.errno or 255
+    finally:
+        os._exit(code)
+
+
+class SnapshotWriter:
+    """snapshots.csv of one run: ``add(values, time)`` is the run's
+    snapshot sink, and ``close`` completes the file.  Given the node count
+    ``stream_width`` and a second usable CPU, ``add`` pipes raw float64
+    values to a forked helper process that formats them while the run
+    steps; otherwise it formats in-process.  Open one streaming writer at
+    a time: a second helper would hold the first one's pipe open."""
+
+    def __init__(self, out_dir: Path | str, stream_width: int = 0) -> None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        self.path = out / "snapshots.csv"
+        self.file = self.path.open("wb")
+        self.pid = 0
+        if stream_width and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            read_end, write_end = os.pipe()
+            self.pid = os.fork()
+            if not self.pid:
+                os.close(write_end)  # else the pipe would never close
+                _format_records(read_end, self.file, stream_width)
+            os.close(read_end)
+            self.file.close()  # the helper's now; nothing was written to it here
+            self.file = open(write_end, "wb", buffering=1 << 16)
+        else:
+            self.file.write(b"time,x,u\n")
+            self.format = _snapshot_formatter()
+
+    def add(self, values, time: float) -> None:
+        if self.pid:
+            record = array("d", values)
+            record.append(time)
+            self.file.write(record)
+        else:
+            self.file.write(self.format(values, time))
+
+    def close(self) -> None:
+        """Wait until every added row is written; OSError if one was not."""
+        pid, self.pid = self.pid, 0
+        try:
+            self.file.close()
+        except BrokenPipeError:  # the helper stopped early; its status says why
+            if not pid:
+                raise
+        if pid:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if 0 < code < 255:
+                raise OSError(code, os.strerror(code))
+            if code:
+                raise OSError(f"{self.path}: the snapshot formatter exited with status {code}")
+
+
+def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str,
+                 snapshots: SnapshotWriter | None = None) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places and
     ``bound`` as its shortest round-trip repr; rows ascend in time.  Each
     file has one printf-style byte template, built once, and is streamed
-    with one ``writelines`` over its rows, never joined whole in memory.
-    A snapshot's template holds every node's row with x_j filled in, so
-    one ``%`` prints the whole snapshot.  Files are binary, so every line
-    ends in a bare newline on every platform.  All snapshots must share
-    one spatial grid, as those of one run do: ValueError otherwise, before
-    any file is written.  Raises OSError on unwritable paths.
+    over its rows, never joined whole in memory.  Files are binary, so
+    every line ends in a bare newline on every platform.  The snapshots
+    go to ``snapshots``, which ``run`` may have filled already, or to a
+    new in-process writer; it is closed last, once the other files are
+    written.  All snapshots must share one spatial grid of at least two
+    nodes, as those of one run do: ValueError otherwise, before any file
+    is written.  Raises OSError on unwritable paths.
     """
-    snapshots = traj.snapshots
-    width = len(snapshots[0].values) if snapshots else 0
-    if any(len(snap.values) != width for snap in snapshots):
+    width = len(traj.snapshots[0].values) if traj.snapshots else 0
+    if any(len(snap.values) != width for snap in traj.snapshots):
         raise ValueError("all snapshots must share one spatial grid")
-    # one row per node: the snapshot time is joined in front of each
-    # row, then x_j, then a slot for u_j
-    node_rows = [b"", *(b",%.10f,%%.10f\n" % (j / (width - 1)) for j in range(width))]
+    if width == 1:
+        raise ValueError("a snapshot needs at least two nodes, the grid's ends")
+    if snapshots is None:
+        snapshots = SnapshotWriter(out_dir)
     files = (
         ("switches.csv", b"k,T_k,t_k,err,bound,within_bound\n",
          (b"%d,%.10f,%.10f,%.10f,%r,%s\n" % (row.index, row.computed_time, row.oracle_time, row.error,
@@ -237,19 +327,18 @@ def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str) -> 
           for row in report.events)),
         ("mass.csv", b"time,mass,flux\n",
          map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes))),
-        ("snapshots.csv", b"time,x,u\n",
-         ((b"%.10f" % snap.time).join(node_rows) % tuple(snap.values) for snap in snapshots)),
         ("report.json", _report_json(report), ()),
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, header, rows in files:
-        path = out / name
-        with path.open("wb") as f:
-            f.write(header)
-            f.writelines(rows)
-        written.append(path)
+    try:
+        for values, time in traj.snapshots:
+            snapshots.add(values, time)
+        for name, header, rows in files:
+            with (Path(out_dir) / name).open("wb") as f:
+                f.write(header)
+                f.writelines(rows)
+    finally:
+        snapshots.close()
+    written = [Path(out_dir) / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
     log.info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
@@ -271,11 +360,26 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
     return raw
 
 
+def _run_and_emit(run_config: RunConfig, out: Path | str) -> tuple[Trajectory, ErrorReport]:
+    """Run, compare and emit the four files, streaming snapshots.csv while
+    the run steps.  A failed run leaves no snapshots.csv behind."""
+    snapshots = SnapshotWriter(out, run_config.snapshot_stride and run_config.grid.cells + 1)
+    try:
+        traj = run(run_config, snapshots.add)
+    except BaseException:
+        try:
+            snapshots.close()  # raises the helper's error, if it failed
+        finally:
+            snapshots.path.unlink(missing_ok=True)
+        raise
+    report = compare_with_oracle(traj, run_config)
+    emit_outputs(traj, report, out, snapshots=snapshots)
+    return traj, report
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     run_config = config_from_mapping(_load_mapping(args.config, args.set))
-    traj = run(run_config)
-    report = compare_with_oracle(traj, run_config)
-    emit_outputs(traj, report, args.out)
+    traj, _ = _run_and_emit(run_config, args.out)
     print(f"{len(traj.events)} switches detected; outputs in {args.out}")
     return 0
 
@@ -311,9 +415,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
         # a new RunConfig, not _replace, so that the variant is validated
         variant = RunConfig(control, grid, kind, mode, stride)
-        traj = run(variant)
-        report = compare_with_oracle(traj, variant)
-        emit_outputs(traj, report, out / kind.value)
+        _, report = _run_and_emit(variant, out / kind.value)
         # each report.json, less its final newline, two spaces in under its key
         text = _report_json(report)[:-1].replace(b"\n", b"\n  ")
         reports.append(b'  "%s": %s' % (kind.value.encode(), text))

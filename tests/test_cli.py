@@ -49,6 +49,11 @@ ADAPTIVE = {
 }
 
 
+def use_cpus(monkeypatch, count):
+    """Make os.sched_getaffinity report ``count`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def write_config(tmp_path, mapping, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(mapping), encoding="utf-8")
@@ -295,6 +300,19 @@ def test_emit_outputs_rejects_snapshots_on_different_grids(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_emit_outputs_rejects_single_node_snapshots(tmp_path):
+    traj = Trajectory(
+        times=array("d", [1.0]),
+        masses=array("d", [0.1]),
+        fluxes=array("b", [1]),
+        snapshots=(FieldState(array("d", [0.5]), 1.0),),
+        events=(),
+    )
+    with pytest.raises(ValueError, match="at least two nodes"):
+        emit_outputs(traj, ErrorReport(events=(), max_abs_error=None, mean_spacing=None), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_emitted_snapshots_show_rising_profiles_during_first_stage(tmp_path):
     cfg = config_from_mapping({**REFERENCE, "snapshot_stride": 1})
     traj = run(cfg)
@@ -378,6 +396,60 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stride, cpus", [(0, 2), (1, 1), (1, 2)])
+def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpus):
+    # with a stride and two CPUs, the helper process meets the full disk
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "snapshots.csv").symlink_to("/dev/full")
+    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": stride})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
+
+
+def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
+    def broken_formatter():
+        def format_snapshot(values, time):
+            raise RuntimeError("formatter broke")
+        return format_snapshot
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr("massgate.cli._snapshot_formatter", broken_formatter)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert str(out / "snapshots.csv") in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_run_forks_one_helper_only_when_recording_snapshots(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    helpers = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            helpers.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    cases = [({**REFERENCE, "snapshot_stride": 1}, 1), ({**REFERENCE, "snapshot_stride": 0}, 0),
+             (ADAPTIVE, 0), ({**ADAPTIVE, "snapshot_stride": 2}, 1)]
+    for config, forks in cases:
+        helpers.clear()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert len(helpers) == forks, config
+        for pid in helpers:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    capsys.readouterr()
+
+
 def test_cli_oracle_subcommand(tmp_path, capsys):
     config_path = write_config(tmp_path, REFERENCE)
     assert main(["oracle", "--config", str(config_path)]) == 0
@@ -419,7 +491,7 @@ def test_cli_oracle_rejects_horizon_with_too_many_switches(tmp_path, capsys):
 
 
 def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatch):
-    def exhausted(run_config):
+    def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the per-step arrays")
 
     monkeypatch.setattr("massgate.cli.run", exhausted)
@@ -430,9 +502,7 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize(
-    "config",
-    [
+ARITHMETIC_FAILURES = [
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50, "N": 2},
                      id="singular-pivot-fixed"),
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e300, "horizon": 1e300, "J": 50, "N": 10**6},
@@ -443,14 +513,29 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
                       "mode": "adaptive", "N0": 2, "Nstage": 1}, id="infinite-mass-rate"),
         pytest.param({"m": 5e-324, "M": 1e-320, "alpha": 1e10, "horizon": 1e-12, "J": 3,
                       "mode": "adaptive", "N0": 2, "Nstage": 1}, id="zero-division"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("config", ARITHMETIC_FAILURES)
 def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, config):
     config_path = write_config(tmp_path, config)
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("massgate: config error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("config", ARITHMETIC_FAILURES)
+def test_cli_failed_run_leaves_no_snapshots(tmp_path, capsys, monkeypatch, config, cpus):
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, {**config, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error:")
+    assert len(err.strip().splitlines()) == 1
+    assert not (out / "snapshots.csv").exists()
 
 
 def test_cli_two_cell_run_at_a_huge_diffusion_number_exits_0(tmp_path, capsys):
@@ -541,7 +626,8 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
     script = """
 import sys
 import massgate.cli
-loaded = [name for name in ("dataclasses", "inspect", "typing") if name in sys.modules]
+skipped = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures", "subprocess", "tempfile")
+loaded = [name for name in skipped if name in sys.modules]
 assert not loaded, loaded
 """
     src = str(Path(massgate.__file__).resolve().parents[1])

@@ -8,8 +8,13 @@ trapezoid run, an adaptive run, and a fixed Riemann run on J=7 whose field
 goes negative during outflow and whose `bound` values have long reprs.
 data/compare/reference.json is the compare.json that `massgate compare`
 wrote for the reference case.
+
+Every case records snapshots.  On a machine with a second usable CPU a
+helper process formats them while the run steps; the one-CPU variants
+pin the in-process path to the same bytes.
 """
 
+import os
 from pathlib import Path
 
 import pytest
@@ -20,7 +25,20 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 COMPARE = Path(__file__).parent / "data" / "compare"
 
 
-@pytest.mark.parametrize("case", sorted(p.name for p in GOLDEN.iterdir()))
+CASES = sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU, so snapshots.csv is formatted in-process; a fork fails."""
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_run_outputs_match_golden(case, tmp_path, capsys):
     config = GOLDEN / case / "config.json"
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
@@ -34,3 +52,12 @@ def test_compare_json_matches_golden(tmp_path, capsys):
     assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert (tmp_path / "compare.json").read_bytes() == (COMPARE / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_outputs_match_golden_on_one_cpu(case, tmp_path, capsys, one_cpu):
+    test_run_outputs_match_golden(case, tmp_path, capsys)
+
+
+def test_compare_json_matches_golden_on_one_cpu(tmp_path, capsys, one_cpu):
+    test_compare_json_matches_golden(tmp_path, capsys)
