@@ -69,6 +69,21 @@ def switch_time(k: int, control: ControlConfig) -> float:
     return (k * control.upper - (k - 1) * control.lower) / mass_rate(control)
 
 
+def switch_count(control: ControlConfig, limit: int) -> int:
+    """Number of closed-form switches t_k <= horizon, or ``limit + 1`` when
+    there are more than ``limit``.  The estimate from the closed form is
+    settled against ``switch_time`` itself, so it counts the times that
+    ``switch_time`` gives."""
+    span = control.upper - control.lower
+    estimate = (control.horizon * mass_rate(control) - control.lower) / span
+    count = max(0, int(min(estimate, limit + 1)))
+    while count and switch_time(count, control) > control.horizon:
+        count -= 1
+    while count <= limit and switch_time(count + 1, control) <= control.horizon:
+        count += 1
+    return count
+
+
 def total_mass(t: float, control: ControlConfig) -> float:
     """Exact total mass at time t >= 0.
 

@@ -26,17 +26,22 @@ import logging
 import os
 import sys
 from array import array
+from contextlib import ExitStack
+from functools import partial
 from pathlib import Path
 
-from .analytic import ConfigError, ControlConfig, mass_rate, switch_spacing, switch_time
+from .analytic import ConfigError, ControlConfig, switch_count, switch_spacing, switch_time
 from .quadrature import QuadratureKind
 from .runner import (
     AdaptiveGrid,
     ErrorReport,
+    EventError,
     FixedGrid,
     RunConfig,
     Trajectory,
     compare_with_oracle,
+    error_report,
+    event_pairer,
     run,
 )
 from .stepper import GridSpec
@@ -173,11 +178,34 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
-# report.json as json.dumps(..., indent=2) lays it out, every value
-# printed with %r; each event row is one % of its EventError.  Where repr
-# and JSON spell a value differently, _JSON_SPELLINGS maps one to the
-# other over the whole text, which is safe because no key contains them.
-_REPORT_EVENT = b"""\
+# Given a second usable CPU, a run with at least this many closed-form
+# switches up to its horizon pairs and writes them in a helper process
+# while it steps.  Forking and reaping the helper costs about 2.6 ms;
+# pairing and writing a switch after the run costs about 7 us, and piping
+# it to the helper 0.3 us, so the helper pays off from about 400 switches.
+STREAM_SWITCHES = 400
+# Bytes per pipe write: 64 KiB of snapshots, but 256 switches, so that
+# the helper's work left after the run's last step is short (about 2 ms).
+_SNAPSHOT_CHUNK = 1 << 16
+_SWITCH_CHUNK = 256 * 3 * 8
+
+_SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
+
+
+def _switch_row(row: EventError) -> bytes:
+    """The switches.csv row of one paired switch."""
+    return b"%d,%.10f,%.10f,%.10f,%r,%s\n" % (row.index, row.computed_time, row.oracle_time, row.error,
+                                             row.bound, b"true" if row.within_bound else b"false")
+
+
+# report.json as json.dumps(..., indent=2) lays it out: the head, each
+# event's entry, comma-separated, and the tail with the summary.  Every
+# value is printed with %r, so it must be a Python scalar, as
+# ``error_report`` builds them.  Where repr and JSON spell a value
+# differently, _JSON_SPELLINGS maps one to the other, which is safe
+# because no key contains them.
+_REPORT_HEAD = b'{\n  "events": ['
+_REPORT_EVENT = b"""
     {
       "k": %r,
       "T_k": %r,
@@ -186,9 +214,7 @@ _REPORT_EVENT = b"""\
       "bound": %r,
       "within_bound": %r
     }"""
-_REPORT = b"""\
-{
-  "events": %s,
+_REPORT_TAIL = b"""],
   "summary": {
     "max_abs_error": %r,
     "mean_spacing": %r
@@ -199,16 +225,22 @@ _JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"),
                    (b"True", b"true"), (b"False", b"false"))
 
 
-def _report_json(report: ErrorReport) -> bytes:
-    """report.json's bytes: json.dumps of the events (keys k, T_k, t_k,
-    err, bound, within_bound) and the summary (max_abs_error,
-    mean_spacing) with indent=2, plus a newline.  The values must be
-    Python scalars, as ``compare_with_oracle`` builds them."""
-    rows = b",\n".join(map(_REPORT_EVENT.__mod__, report.events))
-    text = _REPORT % (b"[\n%s\n  ]" % rows if rows else b"[]", report.max_abs_error, report.mean_spacing)
+def _json_spelled(text: bytes) -> bytes:
     for spelling, json_spelling in _JSON_SPELLINGS:
         text = text.replace(spelling, json_spelling)
     return text
+
+
+def _report_event(row: EventError) -> bytes:
+    """The report.json entry of one paired switch, without the comma that
+    separates it from the entry before."""
+    return _json_spelled(_REPORT_EVENT % row)
+
+
+def _report_tail(report: ErrorReport) -> bytes:
+    """report.json after the last entry: the summary."""
+    return _json_spelled((b"\n  " if report.events else b"") +
+                         _REPORT_TAIL % (report.max_abs_error, report.mean_spacing))
 
 
 def _snapshot_formatter():
@@ -228,117 +260,207 @@ def _snapshot_formatter():
     return format_snapshot
 
 
-def _format_records(pipe: int, file, width: int) -> None:
-    """The helper process: format each (values..., time) record from the
-    pipe into ``file``.  Exits 0, an OSError's errno, or 255 otherwise."""
-    code = 255
-    try:
-        format_snapshot, record = _snapshot_formatter(), width + 1
-        with open(pipe, "rb") as records, file:
-            file.write(b"time,x,u\n")
-            while data := records.read(8 * record * max(1, 8192 // record)):  # ~64 KiB of whole records
-                batch = array("d", data).tolist()
-                file.writelines(format_snapshot(batch[i:i + width], batch[i + width])
-                                for i in range(0, len(batch), record))
-        code = 0
-    except OSError as exc:
-        code = exc.errno or 255
-    finally:
-        os._exit(code)
+def _open_snapshot_sink(width: int, file):
+    """The sink of snapshots.csv (see ``StreamWriter``); a record is a
+    snapshot's values, then its time."""
+    file.write(b"time,x,u\n")
+    format_snapshot = _snapshot_formatter()
+
+    def add(batch) -> None:
+        file.writelines(format_snapshot(batch[i:i + width - 1], batch[i + width - 1])
+                        for i in range(0, len(batch), width))
+
+    return add, lambda: None
 
 
-class SnapshotWriter:
-    """snapshots.csv of one run: ``add(values, time)`` is the run's
-    snapshot sink, and ``close`` completes the file.  Given the node count
-    ``stream_width`` and a second usable CPU, ``add`` pipes raw float64
-    values to a forked helper process that formats them while the run
-    steps; otherwise it formats in-process.  Open one streaming writer at
-    a time: a second helper would hold the first one's pipe open."""
+def _open_switch_sink(control: ControlConfig, stages, width: int, switches, report):
+    """The sink of switches.csv and report.json (see ``StreamWriter``); a
+    record is the index, time and mass of a switch detected on the time
+    grid of ``stages``.  Each is paired with its closed-form time and
+    written at once; the summary follows the last one."""
+    switches.write(_SWITCHES_HEADER)
+    report.write(_REPORT_HEAD)
+    pair, rows = event_pairer(control, stages), []
 
-    def __init__(self, out_dir: Path | str, stream_width: int = 0) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        self.path = out / "snapshots.csv"
-        self.file = self.path.open("wb")
+    def add(batch) -> None:
+        for i in range(0, len(batch), width):
+            row = pair(int(batch[i]), batch[i + 1])
+            switches.write(_switch_row(row))
+            report.write(b"," + _report_event(row) if rows else _report_event(row))
+            rows.append(row)
+
+    return add, lambda: report.write(_report_tail(error_report(rows)))
+
+
+def _second_cpu() -> bool:
+    """Whether a helper process can run beside this one."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+
+
+class StreamWriter:
+    """Output files of one run, written one record of ``width`` floats at
+    a time while the run steps.
+
+    ``open_sink(width, *files)`` writes the files' headers and returns
+    ``(add, finish)``: ``add(batch)`` writes a flat sequence of whole
+    records, and ``finish()`` what follows the last one.  The files are
+    opened here, so open errors surface before the run.  With ``stream``
+    and a second usable CPU, a forked helper process owns the files:
+    ``add(record)`` pipes a list of floats as float64, the whole records
+    that fit in ``chunk`` bytes per write, and the helper writes them as
+    they come.  Otherwise, or when the fork fails, ``add`` writes the record
+    in-process.  Several writers may stream at once, but a helper holds
+    the pipes of the writers opened before it, so close them in the
+    reverse order of opening.
+    """
+
+    def __init__(self, paths: list[Path], open_sink, width: int, chunk: int = 0,
+                 stream: bool = False) -> None:
+        paths[0].parent.mkdir(parents=True, exist_ok=True)
+        self.paths = paths
+        with ExitStack() as opened:
+            self.files = [opened.enter_context(path.open("wb")) for path in paths]
+            self.opened = opened.pop_all()
         self.pid = 0
-        if stream_width and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            read_end, write_end = os.pipe()
-            self.pid = os.fork()
-            if not self.pid:
-                os.close(write_end)  # else the pipe would never close
-                _format_records(read_end, self.file, stream_width)
-            os.close(read_end)
-            self.file.close()  # the helper's now; nothing was written to it here
-            self.file = open(write_end, "wb", buffering=1 << 16)
-        else:
-            self.file.write(b"time,x,u\n")
-            self.format = _snapshot_formatter()
+        if stream and _second_cpu():
+            self.pid = self._fork(open_sink, width, 8 * width * max(1, chunk // (8 * width)))
+        if not self.pid:
+            self.add, self.finish = open_sink(width, *self.files)
 
-    def add(self, values, time: float) -> None:
-        if self.pid:
-            record = array("d", values)
-            record.append(time)
-            self.file.write(record)
-        else:
-            self.file.write(self.format(values, time))
+    def _fork(self, open_sink, width: int, chunk: int) -> int:
+        """Fork the helper and return its pid, or 0 if the fork failed."""
+        pipe = ()
+        try:
+            pipe = os.pipe()
+            pid = os.fork()
+        except OSError as exc:  # e.g. EMFILE or EAGAIN at a process limit
+            for fd in pipe:
+                os.close(fd)
+            log.info("cannot fork a helper (%s); writing %s in-process", exc, self._names())
+            return 0
+        read_end, write_end = pipe
+        if not pid:
+            os.close(write_end)  # else the pipe would never close
+            self._serve(read_end, open_sink, width, chunk)
+        os.close(read_end)
+        self.opened.close()  # the helper's now; nothing was written to them here
+        self.pipe = open(write_end, "wb", buffering=chunk)
+        self.records, self.batch = array("d"), chunk // 8
+        self.add = self._send
+        return pid
+
+    def _serve(self, pipe: int, open_sink, width: int, chunk: int) -> None:
+        """The helper process: write the records from the pipe, read
+        ``chunk`` bytes at a time.  Exits 0, an OSError's errno, or 255
+        otherwise."""
+        code = 255
+        try:
+            with open(pipe, "rb") as records, self.opened:
+                add, finish = open_sink(width, *self.files)
+                while data := records.read(chunk):
+                    add(array("d", data).tolist())
+                finish()
+            code = 0
+        except OSError as exc:
+            code = exc.errno or 255
+        finally:
+            os._exit(code)
+
+    def _send(self, record: list[float]) -> None:
+        records = self.records
+        records.fromlist(record)  # faster than extend, or a new array per record
+        if len(records) >= self.batch:
+            self.pipe.write(records)
+            del records[:]
+
+    def _names(self) -> str:
+        return ", ".join(map(str, self.paths))
+
+    def end(self) -> None:
+        """Add no more records; a helper then finishes the files while the
+        caller goes on."""
+        if self.pid and not self.pipe.closed:
+            try:
+                with self.pipe:
+                    self.pipe.write(self.records)
+            except BrokenPipeError:  # the helper stopped early; its status says why
+                pass
 
     def close(self) -> None:
-        """Wait until every added row is written; OSError if one was not."""
-        pid, self.pid = self.pid, 0
+        """Complete the files: finish them here, or end the input and wait
+        for the helper.  OSError if a record was not written."""
+        if not self.pid:
+            with self.opened:  # closes every file, even if finish fails
+                self.finish()
+            return
+        self.end()
+        _, status, usage = os.wait4(self.pid, 0)
+        cpu = usage.ru_utime + usage.ru_stime
+        log.info("helper %d wrote %s in %.3f s of CPU", self.pid, self._names(), cpu)
+        code = os.waitstatus_to_exitcode(status)
+        if 0 < code < 255:
+            raise OSError(code, os.strerror(code))
+        if code:
+            raise OSError(f"{self._names()}: the helper writing it exited with status {code}")
+
+    def discard(self) -> None:
+        """Close, then remove the files, as a failed run must."""
         try:
-            self.file.close()
-        except BrokenPipeError:  # the helper stopped early; its status says why
-            if not pid:
-                raise
-        if pid:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if 0 < code < 255:
-                raise OSError(code, os.strerror(code))
-            if code:
-                raise OSError(f"{self.path}: the snapshot formatter exited with status {code}")
+            self.close()
+        finally:
+            for path in self.paths:
+                path.unlink(missing_ok=True)
 
 
-def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str,
-                 snapshots: SnapshotWriter | None = None) -> list[Path]:
+def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | str,
+                 snapshots: StreamWriter | None = None, switches: StreamWriter | None = None) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places and
     ``bound`` as its shortest round-trip repr; rows ascend in time.  Each
     file has one printf-style byte template, built once, and is streamed
     over its rows, never joined whole in memory.  Files are binary, so
-    every line ends in a bare newline on every platform.  The snapshots
-    go to ``snapshots``, which ``run`` may have filled already, or to a
-    new in-process writer; it is closed last, once the other files are
-    written.  All snapshots must share one spatial grid of at least two
-    nodes, as those of one run do: ValueError otherwise, before any file
-    is written.  Raises OSError on unwritable paths.
+    every line ends in a bare newline on every platform.
+
+    ``snapshots`` and ``switches`` are the writers of snapshots.csv and of
+    switches.csv with report.json that ``run`` may have fed already; they
+    are closed last, once mass.csv is written, ``switches`` first.
+    Without ``switches``, switches.csv and report.json are written here
+    from ``report``; without ``snapshots``, a new in-process writer takes
+    the trajectory's snapshots.  All snapshots must share one spatial grid
+    of at least two nodes, as those of one run do: ValueError otherwise,
+    before any file is written.  Raises OSError on unwritable paths.
     """
     width = len(traj.snapshots[0].values) if traj.snapshots else 0
     if any(len(snap.values) != width for snap in traj.snapshots):
         raise ValueError("all snapshots must share one spatial grid")
     if width == 1:
         raise ValueError("a snapshot needs at least two nodes, the grid's ends")
+    out = Path(out_dir)
     if snapshots is None:
-        snapshots = SnapshotWriter(out_dir)
-    files = (
-        ("switches.csv", b"k,T_k,t_k,err,bound,within_bound\n",
-         (b"%d,%.10f,%.10f,%.10f,%r,%s\n" % (row.index, row.computed_time, row.oracle_time, row.error,
-                                             row.bound, b"true" if row.within_bound else b"false")
-          for row in report.events)),
-        ("mass.csv", b"time,mass,flux\n",
-         map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes))),
-        ("report.json", _report_json(report), ()),
-    )
+        snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, width + 1)
+    files = [("mass.csv", b"time,mass,flux\n",
+              map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))]
+    if switches is None:
+        entries = b",".join(map(_report_event, report.events))
+        files = [("switches.csv", _SWITCHES_HEADER, map(_switch_row, report.events)), *files,
+                 ("report.json", _REPORT_HEAD, (entries, _report_tail(report)))]
     try:
         for values, time in traj.snapshots:
-            snapshots.add(values, time)
+            snapshots.add([*values, time])
+        if switches is not None:
+            switches.end()  # its helper writes the summary while mass.csv is written
         for name, header, rows in files:
-            with (Path(out_dir) / name).open("wb") as f:
+            with (out / name).open("wb") as f:
                 f.write(header)
                 f.writelines(rows)
     finally:
-        snapshots.close()
-    written = [Path(out_dir) / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
+        try:
+            if switches is not None:
+                switches.close()
+        finally:
+            snapshots.close()
+    written = [out / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
     log.info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
@@ -360,26 +482,43 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
     return raw
 
 
-def _run_and_emit(run_config: RunConfig, out: Path | str) -> tuple[Trajectory, ErrorReport]:
-    """Run, compare and emit the four files, streaming snapshots.csv while
-    the run steps.  A failed run leaves no snapshots.csv behind."""
-    snapshots = SnapshotWriter(out, run_config.snapshot_stride and run_config.grid.cells + 1)
+def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
+    """Run and emit the four files.  snapshots.csv is written while the run
+    steps, by a helper process where a second CPU allows.  With a second
+    CPU and at least STREAM_SWITCHES closed-form switches up to the
+    horizon, a helper writes switches.csv and report.json while the run
+    steps too; on one CPU they are cheaper to write after it.  A failed
+    run leaves none of the files that were being written while it
+    stepped."""
+    out = Path(out)
+    control, grid, _, mode, stride = run_config
+    snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, grid.cells + 2,
+                             _SNAPSHOT_CHUNK, stride > 0)
+    switches = None
     try:
-        traj = run(run_config, snapshots.add)
+        if _second_cpu() and switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES:
+            # computed here, so that a schedule that fails to compute
+            # fails as the run would, not in the helper
+            stages = mode.stages(control)
+            switches = StreamWriter([out / "switches.csv", out / "report.json"],
+                                    partial(_open_switch_sink, control, stages), 3, _SWITCH_CHUNK, True)
+        on_switch = (lambda event: switches.add([*event])) if switches else None
+        traj = run(run_config, lambda values, time: snapshots.add([*values, time]), on_switch)
     except BaseException:
         try:
-            snapshots.close()  # raises the helper's error, if it failed
+            if switches is not None:
+                switches.discard()  # raises the helper's error, if it failed
         finally:
-            snapshots.path.unlink(missing_ok=True)
+            snapshots.discard()
         raise
-    report = compare_with_oracle(traj, run_config)
-    emit_outputs(traj, report, out, snapshots=snapshots)
-    return traj, report
+    report = None if switches else compare_with_oracle(traj, run_config)
+    emit_outputs(traj, report, out, snapshots, switches)
+    return traj
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     run_config = config_from_mapping(_load_mapping(args.config, args.set))
-    traj, _ = _run_and_emit(run_config, args.out)
+    traj = _run_and_emit(run_config, args.out)
     print(f"{len(traj.events)} switches detected; outputs in {args.out}")
     return 0
 
@@ -387,15 +526,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     run_config = config_from_mapping(_load_mapping(args.config, args.set))
     control = run_config.control
-    # Count the switches t_k <= horizon from the closed form, then settle
-    # the count against switch_time itself, which the rows print.
-    span = control.upper - control.lower
-    estimate = (control.horizon * mass_rate(control) - control.lower) / span
-    count = max(0, int(min(estimate, MAX_ORACLE_ROWS + 1)))
-    while count and switch_time(count, control) > control.horizon:
-        count -= 1
-    while count <= MAX_ORACLE_ROWS and switch_time(count + 1, control) <= control.horizon:
-        count += 1
+    count = switch_count(control, MAX_ORACLE_ROWS)
     if count > MAX_ORACLE_ROWS:
         raise ConfigError("horizon", f"more than {MAX_ORACLE_ROWS} closed-form switches up to it")
     print(f"switch spacing: {_fmt(switch_spacing(control))}")
@@ -415,9 +546,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
         # a new RunConfig, not _replace, so that the variant is validated
         variant = RunConfig(control, grid, kind, mode, stride)
-        _, report = _run_and_emit(variant, out / kind.value)
+        _run_and_emit(variant, out / kind.value)
         # each report.json, less its final newline, two spaces in under its key
-        text = _report_json(report)[:-1].replace(b"\n", b"\n  ")
+        text = (out / kind.value / "report.json").read_bytes()[:-1].replace(b"\n", b"\n  ")
         reports.append(b'  "%s": %s' % (kind.value.encode(), text))
     (out / "compare.json").write_bytes(b"{\n%s\n}\n" % b",\n".join(reports))
     print(f"side-by-side reports in {out}")

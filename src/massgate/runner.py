@@ -165,7 +165,7 @@ class ErrorReport(namedtuple("ErrorReport", "events max_abs_error mean_spacing")
     __slots__ = ()
 
 
-def run(config: RunConfig, on_snapshot=None) -> Trajectory:
+def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
     Each stage with steps assembles its step matrix once.  The field is a
@@ -177,7 +177,10 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
 
     Every ``snapshot_stride`` steps, ``on_snapshot(values, time)`` gets
     the field, which it must copy to keep; by default the copies are the
-    returned ``snapshots``, which are empty when a sink is given.
+    returned ``snapshots``, which are empty when a sink is given.  Each
+    ``SwitchEvent`` goes to ``on_switch(event)``, if given, as soon as the
+    relay appends it; the returned ``events`` hold every one either way.
+    With debug logging on, each switch is logged as it is appended.
     """
     control, grid, quadrature, mode, stride = config
     stages = mode.stages(control)
@@ -196,6 +199,8 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
     if on_snapshot is None:
         def on_snapshot(values: list[float], time: float) -> None:
             snapshots.append(FieldState(array("d", values), time))
+    if log.isEnabledFor(logging.DEBUG):  # checked once per run, not per step
+        on_switch = _logged(on_switch, control)
 
     n = 0
     for start, dt, steps in stages:
@@ -213,7 +218,10 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
             n += 1
             if stride and n % stride == 0:
                 on_snapshot(values, time)
+            last = flux
             flux = observe(events, mu, time, control, window)
+            if flux is not last and on_switch is not None:  # a flip is an appended switch
+                on_switch(events[-1])
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
     return Trajectory(
@@ -225,34 +233,60 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
     )
 
 
-def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
-    """Pair each detected switch with its closed-form time.
+def _logged(on_switch, control: ControlConfig):
+    """``on_switch``, if any, behind a debug line for each switch: its
+    index, time, mass and overshoot past the threshold it crossed."""
+    def logged(event: SwitchEvent) -> None:
+        index, time, mu = event
+        overshoot = mu - control.upper if index % 2 else control.lower - mu
+        log.debug("switch %d at t=%r: mass %r, overshoot %r", index, time, mu, overshoot)
+        if on_switch is not None:
+            on_switch(event)
+
+    return logged
+
+
+def event_pairer(control: ControlConfig, stages: tuple[Stage, ...]):
+    """``pair(index, time)``: the ``EventError`` of switch ``index``
+    detected at ``time`` on the time grid of ``stages``.
 
     A switch is within bound when -STEP_SLACK * dt <= error < k * dt,
     with dt the step that detected it.  A switch detected before its
     closed-form time, including one whose closed-form time lies past the
     horizon, has a negative error and is reported out of bound.
 
-    The events must ascend in time, as ``observe`` appends them, so one
-    pass over the stages finds each event's dt.
+    Pair the switches in ascending time, as ``observe`` appends them, so
+    that one pass over the stages finds each switch's dt.
     """
-    control = run_config.control
-    stages = iter(run_config.mode.stages(control))
+    stages = iter(stages)
     stage = next(stages)
-    end, dt = stage.end, stage.dt
-    rows = []
-    for index, time, _ in traj.events:
+
+    def pair(index: int, time: float) -> EventError:
+        nonlocal stage
         # dt of the step that detected the switch; the last stage's past its end
-        while time > end and (stage := next(stages, None)) is not None:
-            end, dt = stage.end, stage.dt
+        while time > stage.end and (later := next(stages, None)) is not None:
+            stage = later
+        dt = stage.dt
         oracle_time = analytic.switch_time(index, control)
         bound = index * dt
         error = time - oracle_time
-        rows.append(EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound))
+        return EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound)
 
-    event_times = [ev.time for ev in traj.events]
+    return pair
+
+
+def error_report(rows) -> ErrorReport:
+    """The ``ErrorReport`` of paired switches given in ascending time."""
+    rows = tuple(rows)
     max_abs_error = max(abs(r.error) for r in rows) if rows else None
-    spacings = [b - a for a, b in pairwise(event_times)]
+    spacings = [b.computed_time - a.computed_time for a, b in pairwise(rows)]
     # numpy.mean's order: the pairwise sum, divided by the count
     mean_spacing = pairwise_sum(spacings) / len(spacings) if spacings else None
-    return ErrorReport(events=tuple(rows), max_abs_error=max_abs_error, mean_spacing=mean_spacing)
+    return ErrorReport(events=rows, max_abs_error=max_abs_error, mean_spacing=mean_spacing)
+
+
+def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
+    """Pair each detected switch with its closed-form time (``event_pairer``)."""
+    control = run_config.control
+    pair = event_pairer(control, run_config.mode.stages(control))
+    return error_report([pair(index, time) for index, time, _ in traj.events])

@@ -4,6 +4,7 @@ import pytest
 from massgate.analytic import (
     ControlConfig,
     mass_rate,
+    switch_count,
     switch_spacing,
     switch_time,
     total_mass,
@@ -139,3 +140,25 @@ def test_invalid_arguments_rejected():
         switch_time(0, control)
     with pytest.raises(ValueError):
         total_mass(-0.1, control)
+
+
+def test_switch_count_is_the_brute_force_count_up_to_the_horizon():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        probe = random_control(rng)
+        # horizon on, just below, just above or between switch times
+        k = int(rng.integers(1, 60))
+        nudge = float(rng.choice([1.0, 1.0 - 1e-15, 1.0 + 1e-15, 1.37]))
+        horizon = switch_time(k, probe) * nudge
+        control = probe._replace(horizon=horizon)
+        count = 0
+        while switch_time(count + 1, control) <= horizon:
+            count += 1
+        assert switch_count(control, 1000) == count
+        limit = int(rng.integers(0, 70))
+        assert switch_count(control, limit) == min(count, limit + 1)
+    # far more switches than the limit: the count stops just past it
+    huge = ControlConfig(lower=1e-300, upper=2e-300, diffusivity=1e300, horizon=1e300)
+    assert switch_count(huge, 10) == 11
+    tiny = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=1.0)
+    assert switch_count(tiny, 10) == 0

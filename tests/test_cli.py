@@ -1,8 +1,10 @@
 import csv
+import errno
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -14,8 +16,10 @@ import pytest
 
 import massgate
 from massgate.cli import (
+    STREAM_SWITCHES,
     ConfigError,
     _log_level,
+    _run_and_emit,
     config_from_mapping,
     config_to_mapping,
     emit_outputs,
@@ -23,7 +27,7 @@ from massgate.cli import (
     parse_config,
     serialize_config,
 )
-from massgate.analytic import switch_time
+from massgate.analytic import switch_count, switch_time
 from massgate.quadrature import QuadratureKind
 from massgate.runner import (
     AdaptiveGrid,
@@ -48,10 +52,47 @@ ADAPTIVE = {
     "Nstage": 5,
 }
 
+# Past STREAM_SWITCHES closed-form switches: 499 and 449 of them.
+DENSE_ADAPTIVE = {**ADAPTIVE, "horizon": 25.0}
+DENSE_FIXED = {**REFERENCE, "J": 10, "N": 9000, "horizon": 450}
+OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
+
 
 def use_cpus(monkeypatch, count):
     """Make os.sched_getaffinity report ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def count_forks(monkeypatch):
+    """Patch os.fork to record the pid of each helper forked; returns the list."""
+    helpers = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            helpers.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return helpers
+
+
+def fail_fork(monkeypatch):
+    """Make os.fork fail as it does at the process limit."""
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+def in_process_outputs(mapping, out):
+    """The four files as emit_outputs writes them after the run, from
+    compare_with_oracle's report."""
+    run_config = config_from_mapping(mapping)
+    traj = run(run_config)
+    emit_outputs(traj, compare_with_oracle(traj, run_config), out)
+    return {name: (out / name).read_bytes() for name in OUTPUTS}
 
 
 def write_config(tmp_path, mapping, name="config.json"):
@@ -448,6 +489,104 @@ def test_cli_run_forks_one_helper_only_when_recording_snapshots(tmp_path, capsys
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails):
+    mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 7}
+    assert switch_count(config_from_mapping(mapping).control, STREAM_SWITCHES) >= STREAM_SWITCHES
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"499 switches detected; outputs in {out}\n"
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_event_dense_compare_matches_on_one_and_two_cpus(tmp_path, capsys, monkeypatch):
+    expected = {kind: in_process_outputs({**DENSE_FIXED, "quadrature": kind}, tmp_path / kind)
+                for kind in ("riemann", "trapezoid")}
+    config_path = write_config(tmp_path, DENSE_FIXED)
+    compared = []
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["compare", "--config", str(config_path), "--out", str(out)]) == 0
+        for kind, files in expected.items():
+            for name, data in files.items():
+                assert (out / kind / name).read_bytes() == data, (cpus, kind, name)
+        compared.append((out / "compare.json").read_bytes())
+    capsys.readouterr()
+    assert compared[0] == compared[1]
+    reports = {kind: json.loads(files["report.json"]) for kind, files in expected.items()}
+    assert json.loads(compared[0]) == reports
+
+
+def test_cli_forks_a_switch_helper_only_for_event_dense_runs(tmp_path, capsys, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    helpers = count_forks(monkeypatch)
+    cases = [(DENSE_ADAPTIVE, 1), (DENSE_FIXED, 1), ({**DENSE_ADAPTIVE, "snapshot_stride": 3}, 2),
+             (REFERENCE, 0), (ADAPTIVE, 0)]
+    for config, forks in cases:
+        helpers.clear()
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
+        assert len(helpers) == forks, config
+        for pid in helpers:  # already reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails):
+    # the run fails at step 1501, after about 300 switches
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    steps = []
+    step = massgate.runner.step
+
+    def failing_step(*args):
+        steps.append(None)
+        if len(steps) > 1500:
+            raise ZeroDivisionError("step failed")
+        return step(*args)
+
+    monkeypatch.setattr(massgate.runner, "step", failing_step)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: config error: ZeroDivisionError: step failed\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsys, monkeypatch, cpus,
+                                                                 fork_fails):
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "switches.csv").symlink_to("/dev/full")
+    config_path = write_config(tmp_path, DENSE_ADAPTIVE)
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
+
+
+def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    caplog.set_level(logging.INFO, logger="massgate.cli")
+    _run_and_emit(config_from_mapping({**DENSE_ADAPTIVE, "snapshot_stride": 5}), tmp_path)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("helper ")]
+    cpu = r"in \d+\.\d{3} s of CPU"
+    assert len(lines) == 2
+    assert re.fullmatch(rf"helper \d+ wrote \S+/switches\.csv, \S+/report\.json {cpu}", lines[0])
+    assert re.fullmatch(rf"helper \d+ wrote \S+/snapshots\.csv {cpu}", lines[1])
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):

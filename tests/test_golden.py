@@ -11,9 +11,11 @@ wrote for the reference case.
 
 Every case records snapshots.  On a machine with a second usable CPU a
 helper process formats them while the run steps; the one-CPU variants
-pin the in-process path to the same bytes.
+pin the in-process path to the same bytes, and the failed-fork variants
+the fallback to it.
 """
 
+import errno
 import os
 from pathlib import Path
 
@@ -35,6 +37,16 @@ def one_cpu(monkeypatch):
         raise AssertionError("forked on one CPU")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.fixture
+def failing_fork(monkeypatch):
+    """Two usable CPUs, but os.fork fails as it does at the process limit."""
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", no_fork)
 
 
@@ -60,4 +72,16 @@ def test_run_outputs_match_golden_on_one_cpu(case, tmp_path, capsys, one_cpu):
 
 
 def test_compare_json_matches_golden_on_one_cpu(tmp_path, capsys, one_cpu):
+    test_compare_json_matches_golden(tmp_path, capsys)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("case", CASES)
+def test_run_outputs_match_golden_when_fork_fails(case, tmp_path, capsys, failing_fork):
+    descriptors = len(os.listdir("/proc/self/fd"))
+    test_run_outputs_match_golden(case, tmp_path, capsys)
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipe's ends are closed
+
+
+def test_compare_json_matches_golden_when_fork_fails(tmp_path, capsys, failing_fork):
     test_compare_json_matches_golden(tmp_path, capsys)

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -436,3 +438,34 @@ def test_config_validation():
             mode=FixedGrid(steps=1),
             snapshot_stride=-1,
         )
+
+
+def test_run_hands_each_switch_to_on_switch_as_it_is_appended():
+    cfg = reference_config(QuadratureKind.TRAPEZOID, stride=1)
+    steps, seen = [], []
+    traj = run(cfg, on_snapshot=lambda values, time: steps.append(time),
+               on_switch=lambda event: seen.append((event, len(steps))))
+    assert [event for event, _ in seen] == list(traj.events)
+    # each switch is handed over at the step that detects it, not after the run
+    assert [steps for _, steps in seen] == [round(event.time / 0.05) for event in traj.events]
+
+
+def test_run_logs_each_switch_at_debug_and_checks_the_level_once(caplog, monkeypatch):
+    cfg = reference_config(QuadratureKind.TRAPEZOID)
+    caplog.set_level(logging.DEBUG, logger="massgate.runner")
+    traj = run(cfg)
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == len(traj.events) == 9
+    control = cfg.control
+    for line, (index, time, mu) in zip(lines, traj.events):
+        overshoot = mu - control.upper if index % 2 else control.lower - mu
+        assert line == f"switch {index} at t={time!r}: mass {mu!r}, overshoot {overshoot!r}"
+        assert overshoot >= 0.0
+
+    caplog.set_level(logging.INFO, logger="massgate.runner")
+    logger = logging.getLogger("massgate.runner")
+    checks = []
+    enabled = logger.isEnabledFor
+    monkeypatch.setattr(logger, "isEnabledFor", lambda level: checks.append(level) or enabled(level))
+    run(cfg)  # 200 steps: one check for the switch log, one for the closing info line
+    assert checks == [logging.DEBUG, logging.INFO]
