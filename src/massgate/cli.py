@@ -35,7 +35,6 @@ from .quadrature import QuadratureKind
 from .runner import (
     AdaptiveGrid,
     ErrorReport,
-    EventError,
     FixedGrid,
     RunConfig,
     Trajectory,
@@ -43,6 +42,7 @@ from .runner import (
     error_report,
     event_pairer,
     run,
+    schedule,
 )
 from .stepper import GridSpec
 
@@ -180,9 +180,10 @@ def _fmt(value: float) -> str:
 
 # Given a second usable CPU, a run with at least this many closed-form
 # switches up to its horizon pairs and writes them in a helper process
-# while it steps.  Forking and reaping the helper costs about 2.6 ms;
-# pairing and writing a switch after the run costs about 7 us, and piping
-# it to the helper 0.3 us, so the helper pays off from about 400 switches.
+# while it steps.  The sink costs the same in either process, about 7 us
+# a switch, so only the fork and reap weigh against the helper: about
+# 1.7 ms of the run's CPU and 3.1 ms of its wall time.  Less the 0.5 us a
+# switch of piping, the helper pays off from about 270 to 480 switches.
 STREAM_SWITCHES = 400
 # Bytes per pipe write: 64 KiB of snapshots, but 256 switches, so that
 # the helper's work left after the run's last step is short (about 2 ms).
@@ -190,13 +191,7 @@ _SNAPSHOT_CHUNK = 1 << 16
 _SWITCH_CHUNK = 256 * 3 * 8
 
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
-
-
-def _switch_row(row: EventError) -> bytes:
-    """The switches.csv row of one paired switch."""
-    return b"%d,%.10f,%.10f,%.10f,%r,%s\n" % (row.index, row.computed_time, row.oracle_time, row.error,
-                                             row.bound, b"true" if row.within_bound else b"false")
-
+_SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
 
 # report.json as json.dumps(..., indent=2) lays it out: the head, each
 # event's entry, comma-separated, and the tail with the summary.  Every
@@ -225,22 +220,30 @@ _JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"),
                    (b"True", b"true"), (b"False", b"false"))
 
 
-def _json_spelled(text: bytes) -> bytes:
-    for spelling, json_spelling in _JSON_SPELLINGS:
-        text = text.replace(spelling, json_spelling)
-    return text
+def _switch_writer(switches, report):
+    """Write the headers of switches.csv and report.json and return
+    ``write(rows, summary=None)``, the one writer of their rows, entries
+    and summary: it adds a chunk of paired switches that follow those
+    written before, with one write to each file, then, given the
+    ``ErrorReport`` of all of them, the summary."""
+    switches.write(_SWITCHES_HEADER)
+    report.write(_REPORT_HEAD)
+    comma = b""  # none before the first entry
 
+    def write(rows, summary: ErrorReport | None = None) -> None:
+        nonlocal comma
+        switches.writelines([_SWITCH_ROW % (k, computed, oracle, error, bound, b"true" if within else b"false")
+                             for k, computed, oracle, error, bound, within in rows])
+        text = b",".join(map(_REPORT_EVENT.__mod__, rows))
+        if text:
+            text, comma = comma + text, b","
+        if summary is not None:
+            text += (b"\n  " if comma else b"") + _REPORT_TAIL % (summary.max_abs_error, summary.mean_spacing)
+        for spelling, json_spelling in _JSON_SPELLINGS:
+            text = text.replace(spelling, json_spelling)
+        report.write(text)
 
-def _report_event(row: EventError) -> bytes:
-    """The report.json entry of one paired switch, without the comma that
-    separates it from the entry before."""
-    return _json_spelled(_REPORT_EVENT % row)
-
-
-def _report_tail(report: ErrorReport) -> bytes:
-    """report.json after the last entry: the summary."""
-    return _json_spelled((b"\n  " if report.events else b"") +
-                         _REPORT_TAIL % (report.max_abs_error, report.mean_spacing))
+    return write
 
 
 def _snapshot_formatter():
@@ -276,25 +279,16 @@ def _open_snapshot_sink(width: int, file):
 def _open_switch_sink(control: ControlConfig, stages, width: int, switches, report):
     """The sink of switches.csv and report.json (see ``StreamWriter``); a
     record is the index, time and mass of a switch detected on the time
-    grid of ``stages``.  Each is paired with its closed-form time and
-    written at once; the summary follows the last one."""
-    switches.write(_SWITCHES_HEADER)
-    report.write(_REPORT_HEAD)
-    pair, rows = event_pairer(control, stages), []
+    grid of ``stages``.  Each chunk is paired with its closed-form times
+    in one pass and written at once; the summary follows the last one."""
+    write, pair, rows = _switch_writer(switches, report), event_pairer(control, stages), []
 
     def add(batch) -> None:
-        for i in range(0, len(batch), width):
-            row = pair(int(batch[i]), batch[i + 1])
-            switches.write(_switch_row(row))
-            report.write(b"," + _report_event(row) if rows else _report_event(row))
-            rows.append(row)
+        chunk = [pair(int(batch[i]), batch[i + 1]) for i in range(0, len(batch), width)]
+        rows.extend(chunk)
+        write(chunk)
 
-    return add, lambda: report.write(_report_tail(error_report(rows)))
-
-
-def _second_cpu() -> bool:
-    """Whether a helper process can run beside this one."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+    return add, lambda: write((), error_report(rows))
 
 
 class StreamWriter:
@@ -304,11 +298,12 @@ class StreamWriter:
     ``open_sink(width, *files)`` writes the files' headers and returns
     ``(add, finish)``: ``add(batch)`` writes a flat sequence of whole
     records, and ``finish()`` what follows the last one.  The files are
-    opened here, so open errors surface before the run.  With ``stream``
-    and a second usable CPU, a forked helper process owns the files:
-    ``add(record)`` pipes a list of floats as float64, the whole records
-    that fit in ``chunk`` bytes per write, and the helper writes them as
-    they come.  Otherwise, or when the fork fails, ``add`` writes the record
+    opened here, so open errors surface before the run.  ``add(record)``
+    takes a list of floats into an ``array('d')`` and passes on the whole
+    records that fit in ``chunk`` bytes at once.  With ``stream`` and a
+    second usable CPU, a forked helper process owns the files: the chunks
+    are piped to it as float64, and it writes them as they come.
+    Otherwise, or when the fork fails, the chunks go to the sink
     in-process.  Several writers may stream at once, but a helper holds
     the pipes of the writers opened before it, so close them in the
     reverse order of opening.
@@ -321,13 +316,14 @@ class StreamWriter:
         with ExitStack() as opened:
             self.files = [opened.enter_context(path.open("wb")) for path in paths]
             self.opened = opened.pop_all()
+        self.records, self.batch = array("d"), width * max(1, chunk // (8 * width))
         self.pid = 0
-        if stream and _second_cpu():
-            self.pid = self._fork(open_sink, width, 8 * width * max(1, chunk // (8 * width)))
+        if stream and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
+            self.pid = self._fork(open_sink, width)
         if not self.pid:
-            self.add, self.finish = open_sink(width, *self.files)
+            self.write, self.finish = open_sink(width, *self.files)
 
-    def _fork(self, open_sink, width: int, chunk: int) -> int:
+    def _fork(self, open_sink, width: int) -> int:
         """Fork the helper and return its pid, or 0 if the fork failed."""
         pipe = ()
         try:
@@ -341,23 +337,21 @@ class StreamWriter:
         read_end, write_end = pipe
         if not pid:
             os.close(write_end)  # else the pipe would never close
-            self._serve(read_end, open_sink, width, chunk)
+            self._serve(read_end, open_sink, width)
         os.close(read_end)
         self.opened.close()  # the helper's now; nothing was written to them here
-        self.pipe = open(write_end, "wb", buffering=chunk)
-        self.records, self.batch = array("d"), chunk // 8
-        self.add = self._send
+        self.pipe = open(write_end, "wb", buffering=8 * self.batch)
+        self.write = self.pipe.write
         return pid
 
-    def _serve(self, pipe: int, open_sink, width: int, chunk: int) -> None:
-        """The helper process: write the records from the pipe, read
-        ``chunk`` bytes at a time.  Exits 0, an OSError's errno, or 255
-        otherwise."""
+    def _serve(self, pipe: int, open_sink, width: int) -> None:
+        """The helper process: write the records from the pipe, read a
+        chunk at a time.  Exits 0, an OSError's errno, or 255 otherwise."""
         code = 255
         try:
             with open(pipe, "rb") as records, self.opened:
                 add, finish = open_sink(width, *self.files)
-                while data := records.read(chunk):
+                while data := records.read(8 * self.batch):
                     add(array("d", data).tolist())
                 finish()
             code = 0
@@ -366,11 +360,11 @@ class StreamWriter:
         finally:
             os._exit(code)
 
-    def _send(self, record: list[float]) -> None:
+    def add(self, record: list[float]) -> None:
         records = self.records
         records.fromlist(record)  # faster than extend, or a new array per record
         if len(records) >= self.batch:
-            self.pipe.write(records)
+            self.write(records)
             del records[:]
 
     def _names(self) -> str:
@@ -391,6 +385,7 @@ class StreamWriter:
         for the helper.  OSError if a record was not written."""
         if not self.pid:
             with self.opened:  # closes every file, even if finish fails
+                self.write(self.records)
                 self.finish()
             return
         self.end()
@@ -423,13 +418,14 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     every line ends in a bare newline on every platform.
 
     ``snapshots`` and ``switches`` are the writers of snapshots.csv and of
-    switches.csv with report.json that ``run`` may have fed already; they
-    are closed last, once mass.csv is written, ``switches`` first.
-    Without ``switches``, switches.csv and report.json are written here
-    from ``report``; without ``snapshots``, a new in-process writer takes
-    the trajectory's snapshots.  All snapshots must share one spatial grid
-    of at least two nodes, as those of one run do: ValueError otherwise,
-    before any file is written.  Raises OSError on unwritable paths.
+    switches.csv with report.json that ``run`` fed already; they are
+    closed last, once mass.csv is written, ``switches`` first.  Without
+    ``switches``, ``report``'s rows and summary go through the same
+    switch writer here; without ``snapshots``, a new in-process writer
+    takes the trajectory's snapshots.  All snapshots must share one
+    spatial grid of at least two nodes, as those of one run do:
+    ValueError otherwise, before any file is written.  Raises OSError on
+    unwritable paths.
     """
     width = len(traj.snapshots[0].values) if traj.snapshots else 0
     if any(len(snap.values) != width for snap in traj.snapshots):
@@ -439,21 +435,17 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     out = Path(out_dir)
     if snapshots is None:
         snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, width + 1)
-    files = [("mass.csv", b"time,mass,flux\n",
-              map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))]
-    if switches is None:
-        entries = b",".join(map(_report_event, report.events))
-        files = [("switches.csv", _SWITCHES_HEADER, map(_switch_row, report.events)), *files,
-                 ("report.json", _REPORT_HEAD, (entries, _report_tail(report)))]
     try:
         for values, time in traj.snapshots:
             snapshots.add([*values, time])
-        if switches is not None:
+        if switches is None:
+            with (out / "switches.csv").open("wb") as rows, (out / "report.json").open("wb") as entries:
+                _switch_writer(rows, entries)(report.events, report)
+        else:
             switches.end()  # its helper writes the summary while mass.csv is written
-        for name, header, rows in files:
-            with (out / name).open("wb") as f:
-                f.write(header)
-                f.writelines(rows)
+        with (out / "mass.csv").open("wb") as f:
+            f.write(b"time,mass,flux\n")
+            f.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
     finally:
         try:
             if switches is not None:
@@ -483,27 +475,27 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
-    """Run and emit the four files.  snapshots.csv is written while the run
-    steps, by a helper process where a second CPU allows.  With a second
-    CPU and at least STREAM_SWITCHES closed-form switches up to the
-    horizon, a helper writes switches.csv and report.json while the run
-    steps too; on one CPU they are cheaper to write after it.  A failed
-    run leaves none of the files that were being written while it
-    stepped."""
+    """Run and emit the four files.  The time grid is computed first, so
+    a config that ``run`` rejects for it opens no file.  snapshots.csv,
+    switches.csv and report.json are written while the run steps, each
+    switch paired with its closed-form time as it comes.  Where a second
+    CPU allows, a helper process writes snapshots.csv, and another writes
+    switches.csv and report.json when at least STREAM_SWITCHES
+    closed-form switches lie up to the horizon; the CLI process writes
+    the rest.  A failed run leaves none of the files that were being
+    written while it stepped."""
     out = Path(out)
-    control, grid, _, mode, stride = run_config
+    control, grid, _, _, stride = run_config
+    stages = schedule(run_config)
     snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, grid.cells + 2,
                              _SNAPSHOT_CHUNK, stride > 0)
     switches = None
     try:
-        if _second_cpu() and switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES:
-            # computed here, so that a schedule that fails to compute
-            # fails as the run would, not in the helper
-            stages = mode.stages(control)
-            switches = StreamWriter([out / "switches.csv", out / "report.json"],
-                                    partial(_open_switch_sink, control, stages), 3, _SWITCH_CHUNK, True)
-        on_switch = (lambda event: switches.add([*event])) if switches else None
-        traj = run(run_config, lambda values, time: snapshots.add([*values, time]), on_switch)
+        switches = StreamWriter([out / "switches.csv", out / "report.json"],
+                                partial(_open_switch_sink, control, stages), 3, _SWITCH_CHUNK,
+                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
+        traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
+                   lambda event: switches.add([*event]))
     except BaseException:
         try:
             if switches is not None:
@@ -511,8 +503,7 @@ def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
         finally:
             snapshots.discard()
         raise
-    report = None if switches else compare_with_oracle(traj, run_config)
-    emit_outputs(traj, report, out, snapshots, switches)
+    emit_outputs(traj, None, out, snapshots, switches)
     return traj
 
 
@@ -572,7 +563,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raw_n["N"] = steps
         # config_from_mapping rejects N outside fixed mode
         run_config = config_from_mapping(raw_n)
-        traj = run(run_config)
+        traj = run(run_config, lambda values, time: None)  # sweep writes no snapshots
         report = compare_with_oracle(traj, run_config)
         rows.append(
             {

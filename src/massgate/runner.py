@@ -165,6 +165,15 @@ class ErrorReport(namedtuple("ErrorReport", "events max_abs_error mean_spacing")
     __slots__ = ()
 
 
+def schedule(config: RunConfig) -> tuple[Stage, ...]:
+    """The stages of the run's time grid: a ConfigError on ``horizon`` if
+    more steps lie up to it than a machine index can count."""
+    stages = config.mode.stages(config.control)
+    if sum(stage.steps for stage in stages) > sys.maxsize:  # an adaptive schedule up to a far horizon
+        raise ConfigError("horizon", "more time steps up to it than a machine index can count")
+    return stages
+
+
 def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
@@ -182,11 +191,9 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     relay appends it; the returned ``events`` hold every one either way.
     With debug logging on, each switch is logged as it is appended.
     """
-    control, grid, quadrature, mode, stride = config
-    stages = mode.stages(control)
+    control, grid, quadrature, _, stride = config
+    stages = schedule(config)
     total = sum(stage.steps for stage in stages)
-    if total > sys.maxsize:  # an adaptive schedule up to a far horizon
-        raise ConfigError("horizon", "more time steps up to it than a machine index can count")
 
     values = [0.0] * (grid.cells + 1)
     events: list[SwitchEvent] = []

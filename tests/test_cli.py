@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import logging
 import math
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from array import array
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from massgate.cli import (
     STREAM_SWITCHES,
     ConfigError,
     _log_level,
+    _open_switch_sink,
     _run_and_emit,
     config_from_mapping,
     config_to_mapping,
@@ -38,6 +41,7 @@ from massgate.runner import (
     Trajectory,
     compare_with_oracle,
     run,
+    schedule,
 )
 
 REFERENCE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": 50, "N": 200}
@@ -250,15 +254,27 @@ def test_largest_indexable_size_is_out_of_memory(tmp_path, capsys, key):
         pytest.param({**ADAPTIVE, "m": 1e-300, "M": 2e-300, "horizon": 1e10, "N0": 1}, id="infinite-count"),
     ],
 )
-def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, raw):
+def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, monkeypatch, raw):
     cfg = config_from_mapping(raw)
     with pytest.raises(ConfigError) as excinfo:
         run(cfg)
     assert excinfo.value.key == "horizon"
-    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(tmp_path / "out")]) == 1
+    # the schedule is refused before any output is opened or helper forked
+    use_cpus(monkeypatch, 2)
+    forks = []
+
+    def refused_fork():
+        forks.append(None)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", refused_fork)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("massgate: config error: horizon:")
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+    assert forks == []
 
 
 @pytest.mark.parametrize("key", ["m", "M", "alpha", "horizon", "J", "N"])
@@ -587,6 +603,79 @@ def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
     assert len(lines) == 2
     assert re.fullmatch(rf"helper \d+ wrote \S+/switches\.csv, \S+/report\.json {cpu}", lines[0])
     assert re.fullmatch(rf"helper \d+ wrote \S+/snapshots\.csv {cpu}", lines[1])
+
+
+@pytest.mark.parametrize(
+    "mapping, count",
+    [
+        pytest.param({"m": 1.0, "M": 5.0, "alpha": 0.05, "horizon": 10, "J": 10, "N": 1}, 0, id="0"),
+        pytest.param({**REFERENCE, "horizon": 2.5, "N": 50}, 1, id="1"),
+        pytest.param({**REFERENCE, "horizon": 3.5, "N": 70}, 2, id="2"),
+        pytest.param(DENSE_ADAPTIVE, 499, id="499"),
+    ],
+)
+def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, mapping, count):
+    # where a chunked writer can slip: the comma before each entry but the
+    # first, and the newline before the summary only after some entry
+    run_config = config_from_mapping(mapping)
+    traj = run(run_config)
+    assert len(traj.events) == count
+    emit_outputs(traj, compare_with_oracle(traj, run_config), tmp_path)
+    expected = [(tmp_path / name).read_bytes() for name in ("switches.csv", "report.json")]
+    records = array("d", [value for event in traj.events for value in event])
+    for switches in (1, 2, 256, max(1, count)):
+        files = io.BytesIO(), io.BytesIO()
+        add, finish = _open_switch_sink(run_config.control, schedule(run_config), 3, *files)
+        for i in range(0, len(records), 3 * switches):
+            add(records[i:i + 3 * switches])
+        finish()
+        assert [f.getvalue() for f in files] == expected, switches
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="restricts this process's CPU affinity")
+@pytest.mark.parametrize("fork_fails", [False, True], ids=["one-cpu", "failed-fork"])
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference"),
+        pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive"),
+        pytest.param(DENSE_ADAPTIVE, id="dense-adaptive"),
+    ],
+)
+def test_run_and_emit_writes_the_post_run_bytes(tmp_path, monkeypatch, mapping, fork_fails):
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+    run_config, out = config_from_mapping(mapping), tmp_path / "out"
+    if fork_fails:
+        use_cpus(monkeypatch, 2)
+        fail_fork(monkeypatch)
+        _run_and_emit(run_config, out)
+    else:  # only this process is restricted, to one of its CPUs
+        helpers, cpus = count_forks(monkeypatch), os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            _run_and_emit(run_config, out)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        assert helpers == []
+    for name, data in expected.items():
+        assert (out / name).read_bytes() == data, name
+
+
+def test_sweep_holds_no_snapshots(tmp_path, capsys):
+    # a sweep writes no snapshots, so a stride must not keep copies of the
+    # field: 1000 of them at J=200 would hold about 1.7 MB
+    peaks = []
+    for stride in (0, 1):
+        config_path = write_config(tmp_path, {**REFERENCE, "J": 200, "snapshot_stride": stride})
+        tracemalloc.start()
+        try:
+            argv = ["sweep", "--config", str(config_path), "--n-list", "1000", "--out", str(tmp_path / "sweep")]
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] - peaks[0] < 200_000, peaks
 
 
 def test_cli_oracle_subcommand(tmp_path, capsys):
