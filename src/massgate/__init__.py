@@ -30,7 +30,6 @@ from .stepper import (
     diffusion_number,
     step,
 )
-from .tridiag import SingularPivot, TridiagonalMatrix, solve
 
 __version__ = "0.1.0"
 
@@ -46,11 +45,9 @@ __all__ = [
     "GridSpec",
     "QuadratureKind",
     "RunConfig",
-    "SingularPivot",
     "StepMatrix",
     "SwitchEvent",
     "Trajectory",
-    "TridiagonalMatrix",
     "assemble",
     "compare_with_oracle",
     "diffusion_number",
@@ -58,7 +55,6 @@ __all__ = [
     "mass_rate",
     "observe",
     "run",
-    "solve",
     "step",
     "switch_spacing",
     "switch_time",

@@ -650,7 +650,7 @@ def main(argv: list[str] | None = None) -> int:
         detail = str(exc) or "the field or the per-step columns do not fit"
         print(f"massgate: config error: out of memory: {detail}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:  # SingularPivot, overflow, zero division at extreme values
+    except ArithmeticError as exc:  # overflow and zero division at extreme values
         print(f"massgate: config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

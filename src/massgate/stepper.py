@@ -7,13 +7,25 @@ one sided, at the new time level:
 
 with s the flux sign.  Substituting these into the first and last interior
 rows leaves a tridiagonal system over U_1..U_{J-1} with interior stencil
-(-nu, 1 + 2*nu, -nu), nu = diffusivity * dt / dx^2; the end values are
-reconstructed from the flux conditions after the solve.
+(-nu, 1 + 2*nu, -nu) and 1 + nu on the end rows' diagonal, where
+nu = diffusivity * dt / dx^2; the end values are reconstructed from the
+flux conditions after the solve.
 
 The matrix depends only on the grid, dt and the diffusivity, and the flux
-enters through the right-hand side alone.  ``assemble`` therefore builds
-and factors it once per time-grid stage, and each ``step`` is one forward
-and back substitution against those factors.
+enters through the right-hand side alone.  ``assemble`` therefore factors
+it once per time-grid stage, and each ``step`` is one forward and back
+substitution (``solve``) against those factors.
+
+Elimination without pivoting (N. J. Higham, Accuracy and Stability of
+Numerical Algorithms, 2nd ed., ch. 9) has pivots p_i = d_i - nu^2/p_{i-1}.
+The last, (1 + nu) - nu^2/p, lies between 1 and J but is the difference
+of two numbers near nu, so it cancels once nu is large.  ``assemble``
+carries instead each pivot's excess over nu, which subtracts nothing:
+
+    e_0 = 1,    e_i = 1 + e_{i-1} * (nu / p_{i-1}),
+
+with p_i = nu + e_i on every row but the last, whose pivot is e_i.  So
+every pivot is at least 1 at any finite nu, and J = 2 has the one pivot 1.
 
 The interior mass dx * sum(U_1..U_{J-1}) gains exactly
 2 * diffusivity * dt * s per step (the stencil telescopes down to the two
@@ -28,7 +40,6 @@ from collections.abc import Sequence
 from enum import IntEnum
 
 from .analytic import ConfigError
-from .tridiag import TridiagonalMatrix, solve
 
 
 class FluxSign(IntEnum):
@@ -66,47 +77,67 @@ def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     return diffusivity * dt / grid.dx**2
 
 
-class StepMatrix(namedtuple("StepMatrix", "system dx forcing")):
+class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing")):
     """The factored step matrix of one grid, dt and diffusivity: the
-    ``TridiagonalMatrix``, dx and nu * dx, the flux term of the end rows'
-    right-hand side."""
+    elimination multipliers nu/p_0..nu/p_{n-2}, the pivots p_0..p_{n-1}
+    of the n = J - 1 interior rows, nu, dx and nu * dx, the flux term of
+    the end rows' right-hand side."""
 
     __slots__ = ()
 
 
 def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
-    """Build and factor the implicit matrix over the J-1 interior unknowns.
-
-    Folding the eliminated end values into the first and last rows drops
-    those diagonal entries to 1 + nu.  With one unknown (J = 2) both
-    folds land on the same entry, which is exactly 1.
-    """
+    """Factor the implicit matrix over the J-1 interior unknowns by the
+    pivot-excess recurrence of the module docstring."""
     nu = diffusion_number(grid, dt, diffusivity)
-    unknowns = grid.cells - 1
+    multipliers = []
+    pivots = []
+    excess = 1.0
+    for _ in range(grid.cells - 2):
+        pivot = nu + excess
+        multiplier = nu / pivot
+        pivots.append(pivot)
+        multipliers.append(multiplier)
+        excess = 1.0 + excess * multiplier
+    pivots.append(excess)
+    return StepMatrix(multipliers, pivots, nu, grid.dx, nu * grid.dx)
 
-    diag = [1.0 + 2.0 * nu] * unknowns
-    if unknowns == 1:
-        diag[0] = 1.0  # (1 + 2*nu) - nu - nu rounds to 0 from nu ~ 1e16
-    else:
-        diag[0] -= nu
-        diag[-1] -= nu
-    off = [-nu] * (unknowns - 1)
-    return StepMatrix(TridiagonalMatrix(sub=off, diag=diag, sup=off), grid.dx, nu * grid.dx)
+
+def solve(matrix: StepMatrix, rhs: list[float]) -> list[float]:
+    """x with matrix @ x = rhs, as a list; ``rhs`` holds n floats (a list
+    is fastest, any sequence works) and is not modified."""
+    pivots = matrix.pivots
+    if len(rhs) != len(pivots):
+        raise ValueError(f"rhs has {len(rhs)} entries, expected {len(pivots)}")
+    r = rhs[0]
+    reduced = [r]
+    for w, b in zip(matrix.multipliers, rhs[1:]):
+        r = b + w * r
+        reduced.append(r)
+
+    nu = matrix.nu
+    x = reduced.pop() / pivots[-1]
+    solution = [x]
+    for r, pivot in zip(reversed(reduced), pivots[-2::-1]):
+        x = (r + nu * x) / pivot
+        solution.append(x)
+    solution.reverse()
+    return solution
 
 
 def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[float]:
     """The samples U_0..U_J one step (the matrix's dt) after ``values``
     under the given flux sign, as a new list.
 
-    The interior comes from the tridiagonal solve, with nu * dx * s added
-    to both ends of the right-hand side; the end values follow from the
-    one-sided flux conditions, so the discrete boundary slopes equal -s
-    and +s exactly.
+    The interior comes from ``solve``, with nu * dx * s added to both
+    ends of the right-hand side; the end values follow from the one-sided
+    flux conditions, so the discrete boundary slopes equal -s and +s
+    exactly.
     """
     forcing = matrix.forcing * flux
     rhs = list(values[1:-1])  # a copy for any sequence, numpy views included
     rhs[0] += forcing
     rhs[-1] += forcing
-    interior = solve(matrix.system, rhs)
+    interior = solve(matrix, rhs)
     offset = matrix.dx * flux
     return [interior[0] + offset, *interior, interior[-1] + offset]

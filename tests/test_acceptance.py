@@ -18,8 +18,7 @@ from massgate.runner import (
     compare_with_oracle,
     run,
 )
-from massgate.stepper import FluxSign, GridSpec, assemble, step
-from massgate.tridiag import TridiagonalMatrix, solve
+from massgate.stepper import FluxSign, GridSpec, assemble, solve, step
 
 REFERENCE_SWITCH_TIMES = [1.95, 2.90, 3.85, 4.80, 5.75, 6.70, 7.65, 8.60, 9.55]
 
@@ -226,17 +225,17 @@ def test_criterion_7_property_bundle():
     failures: list[str] = []
     rng = np.random.default_rng(424242)
 
-    # tridiagonal solver against a dense LU oracle
+    # tridiagonal solve of the step matrix against a dense LU oracle
     worst = 0.0
     for _ in range(1000):
-        n = int(rng.integers(2, 21))
-        sub = rng.uniform(-1.0, 1.0, n - 1)
-        sup = rng.uniform(-1.0, 1.0, n - 1)
-        diag = rng.uniform(0.5, 2.0, n)
-        diag += np.concatenate(([0.0], np.abs(sub))) + np.concatenate((np.abs(sup), [0.0]))
+        cells = int(rng.integers(3, 22))
+        nu = float(10.0 ** rng.uniform(-4.0, 3.0))
+        matrix = assemble(GridSpec(cells=cells), nu / cells**2, 1.0)
+        n = cells - 1
+        laplacian = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        laplacian[0, 0] = laplacian[-1, -1] = 1.0
         rhs = rng.uniform(-5.0, 5.0, n)
-        matrix = TridiagonalMatrix(sub=sub, diag=diag, sup=sup)
-        dense = np.linalg.solve(np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1), rhs)
+        dense = np.linalg.solve(np.eye(n) + matrix.nu * laplacian, rhs)
         worst = max(worst, float(np.max(np.abs(solve(matrix, rhs) - dense))))
     if worst > 1e-10:
         failures.append(f"solver vs dense oracle max-norm {worst!r} > 1e-10")

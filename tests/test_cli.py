@@ -43,6 +43,7 @@ from massgate.runner import (
     run,
     schedule,
 )
+from massgate.stepper import step
 
 REFERENCE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": 50, "N": 200}
 ADAPTIVE = {
@@ -255,11 +256,28 @@ def test_largest_indexable_size_is_out_of_memory(tmp_path, capsys, key):
     ],
 )
 def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, monkeypatch, raw):
+    assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, "horizon")
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param({**REFERENCE, "alpha": 1e300, "horizon": 1e300, "N": 10**6}, id="fixed"),
+        pytest.param({**ADAPTIVE, "M": 1e308, "horizon": 1.7e308, "N0": 1}, id="adaptive-climb"),
+    ],
+)
+def test_non_finite_diffusion_number_names_alpha(tmp_path, capsys, monkeypatch, raw):
+    assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, "alpha")
+
+
+def assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, key):
+    """``run`` refuses the config's time grid with a ConfigError on ``key``,
+    and ``massgate run`` prints the one-line diagnostic before any output
+    is opened or helper forked."""
     cfg = config_from_mapping(raw)
     with pytest.raises(ConfigError) as excinfo:
         run(cfg)
-    assert excinfo.value.key == "horizon"
-    # the schedule is refused before any output is opened or helper forked
+    assert excinfo.value.key == key
     use_cpus(monkeypatch, 2)
     forks = []
 
@@ -271,7 +289,7 @@ def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("massgate: config error: horizon:")
+    assert err.startswith(f"massgate: config error: {key}:")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
     assert forks == []
@@ -732,7 +750,7 @@ def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatc
 
 ARITHMETIC_FAILURES = [
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50, "N": 2},
-                     id="singular-pivot-fixed"),
+                     id="overflowed-field-fixed"),
         pytest.param({"m": 0.1, "M": 0.2, "alpha": 1e300, "horizon": 1e300, "J": 50, "N": 10**6},
                      id="overflowed-diffusion-number"),
         pytest.param({"m": 0.05, "M": 0.2, "alpha": 10, "horizon": 1.7e308, "J": 20,
@@ -742,6 +760,24 @@ ARITHMETIC_FAILURES = [
         pytest.param({"m": 5e-324, "M": 1e-320, "alpha": 1e10, "horizon": 1e-12, "J": 3,
                       "mode": "adaptive", "N0": 2, "Nstage": 1}, id="zero-division"),
 ]
+
+
+def test_cli_run_stops_at_the_first_non_finite_mass(tmp_path, capsys, monkeypatch):
+    # nu ~ 1e299 is finite, but the first step's field overflows; the
+    # remaining 199999 steps would only carry NaN.
+    steps = []
+
+    def counted_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr("massgate.runner.step", counted_step)
+    config = {"m": 0.1, "M": 0.2, "alpha": 1e300, "horizon": 10, "J": 50, "N": 200000}
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error: mass samples must be finite")
+    assert len(err.strip().splitlines()) == 1
+    assert len(steps) == 1
 
 
 @pytest.mark.parametrize("config", ARITHMETIC_FAILURES)

@@ -18,10 +18,9 @@ from massgate import (
     GridSpec,
     QuadratureKind,
     RunConfig,
-    StepMatrix,
     SwitchEvent,
     Trajectory,
-    TridiagonalMatrix,
+    assemble,
 )
 from massgate.runner import Stage
 
@@ -29,7 +28,7 @@ CONTROL = ControlConfig(0.1, 0.2, 0.05, 10.0)
 RECORDS = [
     CONTROL,
     GridSpec(50),
-    StepMatrix(TridiagonalMatrix([-1.0], [3.0, 3.0], [-1.0]), 0.5, 0.25),
+    assemble(GridSpec(3), 0.05, 0.05),
     SwitchEvent(1, 2.0, 0.2),
     Stage(0.0, 0.05, 200),
     FixedGrid(200),

@@ -21,14 +21,15 @@ def random_state(rng: np.random.Generator, cells: int) -> np.ndarray:
 
 
 def test_assemble_matches_hand_derivation():
-    # cells=3, nu=1: eliminating the end values leaves diag (2, 2),
-    # off-diagonals (-1, -1) and a flux forcing of nu * dx = dx.
+    # cells=3, nu=1: eliminating the end values leaves [[2, -1], [-1, 2]],
+    # whose pivots are 2 and 2 - 1/2 with multiplier 1/2, and a flux
+    # forcing of nu * dx = dx.
     grid, dt = GridSpec(cells=3), 1.0 / 9.0
     assert diffusion_number(grid, dt, 1.0) == pytest.approx(1.0)
     matrix = assemble(grid, dt, 1.0)
-    assert np.allclose(matrix.system.diag, [2.0, 2.0])
-    assert np.allclose(matrix.system.sub, [-1.0])
-    assert np.allclose(matrix.system.sup, [-1.0])
+    assert np.allclose(matrix.pivots, [2.0, 1.5])
+    assert np.allclose(matrix.multipliers, [0.5])
+    assert matrix.nu == pytest.approx(1.0)
     assert matrix.forcing == pytest.approx(grid.dx)
 
 
@@ -39,7 +40,7 @@ def test_two_cell_diagonal_is_exactly_one_at_any_coupling(nu):
     grid = GridSpec(cells=2)
     dt = nu * grid.dx**2
     matrix = assemble(grid, dt, 1.0)
-    assert list(matrix.system.diag) == [1.0]
+    assert matrix.pivots == [1.0]
     assert step([0.0, 0.0, 0.0], FluxSign.INFLOW, matrix)[1] == 2.0 * nu * grid.dx
 
 
