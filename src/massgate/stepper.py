@@ -27,6 +27,18 @@ carries instead each pivot's excess over nu, which subtracts nothing:
 with p_i = nu + e_i on every row but the last, whose pivot is e_i.  So
 every pivot is at least 1 at any finite nu, and J = 2 has the one pivot 1.
 
+Both ends carry the same flux, a run starts from the zero field and the
+matrix is persymmetric, so every field of a run is mirror-symmetric,
+U_j = U_{J-j}, and a step need only solve the system folded onto
+U_1..U_h, h = J//2 (A. Cantoni and P. Butler, Linear Algebra Appl. 13,
+1976).  Its first h - 1 rows and their factors are the full system's.
+Its last row, the middle, meets U_{h+1} = U_h for odd J: an end row like
+the full system's last, with pivot e_{h-1} = 1 + e_{h-2} w_{h-2}, where
+w_i = nu/p_i.  For even J, U_{h+1} = U_{h-1} gives -2 nu U_{h-1} +
+(1 + 2 nu) U_h: multiplier 2 w_{h-2} and pivot 1 + 2 e_{h-2} w_{h-2}, a
+sum of positive terms, so at least 1.  With J = 2 or 3 the middle row is
+the only one and its pivot is 1; for J = 2 it carries both ends' forcing.
+
 The interior mass dx * sum(U_1..U_{J-1}) gains exactly
 2 * diffusivity * dt * s per step (the stencil telescopes down to the two
 boundary slopes), which is what makes threshold hits on specially chosen
@@ -77,30 +89,35 @@ def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     return diffusivity * dt / grid.dx**2
 
 
-class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing")):
+class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing folded")):
     """The factored step matrix of one grid, dt and diffusivity: the
     elimination multipliers nu/p_0..nu/p_{n-2}, the pivots p_0..p_{n-1}
     of the n = J - 1 interior rows, nu, dx and nu * dx, the flux term of
-    the end rows' right-hand side."""
+    the end rows' right-hand side, and the mirror fold's StepMatrix."""
 
     __slots__ = ()
 
 
 def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
-    """Factor the implicit matrix over the J-1 interior unknowns by the
-    pivot-excess recurrence of the module docstring."""
+    """Factor the implicit matrix over the J-1 interior unknowns and its
+    mirror fold by the pivot-excess recurrence of the module docstring."""
     nu = diffusion_number(grid, dt, diffusivity)
+    half, meets = grid.cells // 2, 2 - grid.cells % 2  # the middle row meets U_{h-1} once or twice
     multipliers = []
     pivots = []
     excess = 1.0
-    for _ in range(grid.cells - 2):
+    fold = [], [1.0]  # the fold's multipliers and pivots while the middle row is its only row
+    for i in range(grid.cells - 2):
         pivot = nu + excess
         multiplier = nu / pivot
         pivots.append(pivot)
         multipliers.append(multiplier)
+        if i == half - 2:  # the last row before the middle one
+            fold = multipliers[:i] + [meets * multiplier], pivots + [1.0 + meets * (excess * multiplier)]
         excess = 1.0 + excess * multiplier
     pivots.append(excess)
-    return StepMatrix(multipliers, pivots, nu, grid.dx, nu * grid.dx)
+    forcing = nu * grid.dx
+    return StepMatrix(multipliers, pivots, nu, grid.dx, forcing, StepMatrix(*fold, nu, grid.dx, forcing, None))
 
 
 def solve(matrix: StepMatrix, rhs: list[float]) -> list[float]:
@@ -133,11 +150,24 @@ def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[fl
     ends of the right-hand side; the end values follow from the one-sided
     flux conditions, so the discrete boundary slopes equal -s and +s
     exactly.
+
+    When ``values`` is a list of J + 1 entries equal to its own reverse,
+    as every field of a run is, only the folded system over U_1..U_{J//2}
+    is solved, and U_{J-j} is the same float as U_j.  Any other sequence
+    gets the full solve.
     """
     forcing = matrix.forcing * flux
+    offset = matrix.dx * flux
+    if type(values) is list and len(values) == len(matrix.pivots) + 2 and values == values[::-1]:
+        rhs = values[1:(len(values) + 1) // 2]
+        rhs[0] += forcing
+        if len(values) == 3:  # J = 2: the one row is both end rows
+            rhs[0] += forcing
+        x = solve(matrix.folded, rhs)
+        field = [x[0] + offset, *x]  # U_0..U_h
+        return field + field[len(values) - len(field) - 1::-1]  # U_{h+1}..U_J are U_{J-h-1}..U_0
     rhs = list(values[1:-1])  # a copy for any sequence, numpy views included
     rhs[0] += forcing
     rhs[-1] += forcing
     interior = solve(matrix, rhs)
-    offset = matrix.dx * flux
     return [interior[0] + offset, *interior, interior[-1] + offset]

@@ -8,7 +8,8 @@ trip through its mapping; any mapping at all either builds a config or
 raises ConfigError; fixed Riemann runs keep the scheme's per-step mass
 identity and detect switch k less than (2k - 1) steps late; and one step
 matches a dense solve of the same backward-implicit system on small
-grids.
+grids, and, from a mirror-symmetric field, an exact solve up to a
+diffusion number of 1e14 with a mirror-symmetric result.
 """
 
 import contextlib
@@ -17,6 +18,7 @@ import json
 import math
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from massgate.cli import config_from_mapping, config_to_mapping, main
 from massgate.quadrature import QuadratureKind
 from massgate.runner import STEP_SLACK, AdaptiveGrid, FixedGrid, RunConfig, compare_with_oracle, run
 from massgate.stepper import FluxSign, GridSpec, assemble, diffusion_number, step
+from test_tridiag import exact_solve
 
 EPS = float(np.finfo(float).eps)
 
@@ -112,7 +115,7 @@ def test_adaptive_runs_match_the_closed_form_up_to_a_diffusion_number_of_1e14(
 @given(nu=log_uniform(-300, 300), cells=st.integers(2, 200))
 def test_every_pivot_is_finite_and_at_least_one(nu, cells):
     matrix = assemble(GridSpec(cells=cells), nu / cells**2, 1.0)
-    assert all(math.isfinite(p) and p >= 1.0 for p in matrix.pivots)
+    assert all(math.isfinite(p) and p >= 1.0 for p in matrix.pivots + matrix.folded.pivots)
 
 
 EXTREMES = st.sampled_from([5e-324, 1e-300, 1e300, 1.7e308])
@@ -318,3 +321,31 @@ def test_step_matches_a_dense_solve_on_small_grids(cells, nu, alpha, flux, value
     new = np.asarray(step(values, flux, assemble(GridSpec(cells), dt, alpha)))
     expected = dense_step(values, int(flux), cells, diffusion_number(GridSpec(cells), dt, alpha))
     assert np.max(np.abs(new - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(
+    cells=st.integers(2, 12),
+    nu=log_uniform(-4, 14),
+    flux=st.sampled_from([FluxSign.INFLOW, FluxSign.OUTFLOW]),
+    half=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7),
+)
+def test_step_of_a_mirror_symmetric_field_matches_an_exact_solve(cells, nu, flux, half):
+    # A list equal to its own reverse takes the folded solve, whose output
+    # is a mirror bit for bit; the reference is the exact solution of the
+    # full system at the same rounded right-hand side.
+    values = [half[min(j, cells - j)] for j in range(cells + 1)]
+    matrix = assemble(GridSpec(cells), nu / cells**2, 1.0)
+    new = step(values, flux, matrix)
+    assert [u.hex() for u in new] == [u.hex() for u in reversed(new)]
+
+    forcing = matrix.forcing * flux
+    rhs = values[1:-1]
+    rhs[0] += forcing
+    rhs[-1] += forcing
+    numerators, den = exact_solve(matrix.nu, rhs)
+    interior = [Fraction(numerator, den) for numerator in numerators]
+    offset = Fraction(matrix.dx * flux)
+    expected = [interior[0] + offset, *interior, interior[-1] + offset]
+    error = max(abs(Fraction(u) - e) for u, e in zip(new, expected))
+    assert error <= Fraction(1e-12) * max(map(abs, expected))

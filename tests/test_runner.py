@@ -1,9 +1,13 @@
+import json
 import logging
+from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from massgate.analytic import ControlConfig, switch_spacing, switch_time
+from massgate.cli import config_from_mapping
 from massgate.controller import SwitchEvent
 from massgate.quadrature import QuadratureKind
 from massgate.runner import (
@@ -16,6 +20,7 @@ from massgate.runner import (
 )
 from massgate.stepper import GridSpec
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 REFERENCE_SWITCH_TIMES = [1.95, 2.90, 3.85, 4.80, 5.75, 6.70, 7.65, 8.60, 9.55]
 
 
@@ -295,6 +300,7 @@ def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
     import massgate.stepper
 
     calls = {"assemble": 0, "solve": 0}
+    rows = []  # right-hand-side entries of each solve
 
     def counting(name, fn):
         def wrapper(*args):
@@ -303,8 +309,12 @@ def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
 
         return wrapper
 
+    def solving(matrix, rhs, solve=massgate.stepper.solve):
+        rows.append(len(rhs))
+        return solve(matrix, rhs)
+
     monkeypatch.setattr(massgate.runner, "assemble", counting("assemble", massgate.runner.assemble))
-    monkeypatch.setattr(massgate.stepper, "solve", counting("solve", massgate.stepper.solve))
+    monkeypatch.setattr(massgate.stepper, "solve", counting("solve", solving))
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     adaptive = RunConfig(
         control=control,
@@ -314,8 +324,25 @@ def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
     )
     for cfg, stages in ((reference_config(QuadratureKind.TRAPEZOID), 1), (adaptive, 2)):
         calls.update(assemble=0, solve=0)
+        rows.clear()
         traj = run(cfg)
         assert calls == {"assemble": stages, "solve": len(traj.times)}
+        # every field of a run is mirror-symmetric, so each step solves the folded half
+        assert rows == [cfg.grid.cells // 2] * len(traj.times)
+
+
+@pytest.mark.parametrize(
+    "case, cells",
+    [("reference", None), ("adaptive", None), ("riemann", None), ("reference", 2), ("adaptive", 3), ("riemann", 3)],
+)
+def test_every_snapshot_is_its_own_mirror_bit_for_bit(case, cells):
+    raw = {**json.loads((GOLDEN / case / "config.json").read_text()), "snapshot_stride": 1}
+    if cells is not None:
+        raw["J"] = cells
+    traj = run(config_from_mapping(raw))
+    assert len(traj.snapshots) == len(traj.times)
+    for snapshot in traj.snapshots:
+        assert snapshot.values.tobytes() == array("d", reversed(snapshot.values)).tobytes(), snapshot.time
 
 
 def test_runs_are_deterministic():

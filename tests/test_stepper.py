@@ -33,6 +33,21 @@ def test_assemble_matches_hand_derivation():
     assert matrix.forcing == pytest.approx(grid.dx)
 
 
+@pytest.mark.parametrize(
+    "cells, multipliers, pivots",
+    [(2, [], [1.0]), (3, [], [1.0]), (4, [1.0], [2.0, 2.0]), (5, [0.5], [2.0, 1.5])],
+)
+def test_folded_factors_match_hand_derivation(cells, multipliers, pivots):
+    # nu = 1.  J = 4 folds U_3 = U_1 into [[2, -1], [-2, 3]]: multiplier
+    # 2 * 1/2 and pivot 3 - 1 = 1 + 2 * 1 * 1/2.  J = 5 folds U_3 = U_2
+    # into [[2, -1], [-1, 2]], an end row: pivot 2 - 1/2.  J = 2 and 3
+    # leave the middle row alone, with pivot 1.
+    folded = assemble(GridSpec(cells), 1.0 / cells**2, 1.0).folded
+    assert folded.multipliers == pytest.approx(multipliers)
+    assert folded.pivots == pytest.approx(pivots)
+    assert folded.folded is None
+
+
 @pytest.mark.parametrize("nu", [4e15, 1e16, 1e300])
 def test_two_cell_diagonal_is_exactly_one_at_any_coupling(nu):
     # With one unknown both end folds land on one entry, 1 + 2*nu - 2*nu,
@@ -164,9 +179,12 @@ def test_grid_validation():
 
 
 def test_field_length_validation():
+    # J = 4 takes 5 samples; 6 symmetric ones would fold onto the same
+    # two rows, so the length is checked before the fold is chosen.
     grid = GridSpec(cells=4)
-    with pytest.raises(ValueError):
-        step([0.0] * 4, FluxSign.INFLOW, assemble(grid, 0.1, 1.0))
+    for values in ([0.0] * 4, [0.0] * 6, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]):
+        with pytest.raises(ValueError):
+            step(values, FluxSign.INFLOW, assemble(grid, 0.1, 1.0))
 
 
 def test_grid_points():
