@@ -1,4 +1,6 @@
+import math
 from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -92,24 +94,74 @@ def bits(*values: float) -> list[int]:
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-@pytest.mark.parametrize("cells", [2, 3, 9, 50, 129, 1000, 10000])
-def test_mass_of_a_list_is_numpy_sum_bit_for_bit(cells):
-    # The sums run in numpy's add.reduce order, so over many magnitudes and
-    # signed zeros they round exactly as the array expressions do.
-    rng = np.random.default_rng(cells)
-    grid = make_grid(cells)
-    fields = [np.full(cells + 1, -0.0)]
-    for _ in range(20):
+def exact_sum(values) -> Fraction:
+    """The exact sum of finite floats: integer numerators over their
+    common power-of-two denominator."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    den = max((d for _, d in ratios), default=1)
+    return Fraction(sum(c * (den // d) for c, d in ratios), den)
+
+
+def signed_fields(cells: int, rng: np.random.Generator, count: int = 20) -> list[np.ndarray]:
+    """Fields over many magnitudes, with signed zeros."""
+    fields = []
+    for _ in range(count):
         u = rng.normal(size=cells + 1) * 10.0 ** rng.uniform(-6.0, 6.0, cells + 1)
         u[rng.random(cells + 1) < 0.1] = 0.0
         u[rng.random(cells + 1) < 0.1] = -0.0
         fields.append(u)
-    for u in fields:
+    return fields
+
+
+@pytest.mark.parametrize("cells", [2, 3, 9, 50, 129, 1000, 10000])
+def test_mass_of_a_list_is_the_correctly_rounded_sum_bit_for_bit(cells):
+    # Over many magnitudes and signed zeros, each mass is dx times the
+    # exact sum rounded once; a sum of -0.0 comes out as 0.0.
+    rng = np.random.default_rng(cells)
+    grid = make_grid(cells)
+    for u in [np.full(cells + 1, -0.0), *signed_fields(cells, rng)]:
+        interior = exact_sum(u[1:-1])
         riemann = mass(u.tolist(), grid, QuadratureKind.RIEMANN_INTERIOR)
         trapezoid = mass(u.tolist(), grid, QuadratureKind.TRAPEZOID)
         assert bits(riemann, trapezoid) == bits(
-            float(grid.dx * u[1:-1].sum()), float(0.5 * grid.dx * (u[:-1] + u[1:]).sum())
+            grid.dx * float(interior), grid.dx * float(interior + exact_sum([u[0], u[-1]]) / 2)
         )
+
+
+@pytest.mark.parametrize("cells", [2, 3, 8, 51, 1000])
+def test_mass_does_not_depend_on_the_order_of_the_samples(cells):
+    # the mirror image of a field, or any shuffle of its interior, has the
+    # same mass to the last bit
+    rng = np.random.default_rng(100 + cells)
+    grid = make_grid(cells)
+    for u in signed_fields(cells, rng):
+        shuffled = u.copy()
+        rng.shuffle(shuffled[1:-1])
+        for kind in QuadratureKind:
+            expected = bits(mass(u.tolist(), grid, kind))
+            assert bits(mass(u[::-1].tolist(), grid, kind)) == expected
+            assert bits(mass(shuffled.tolist(), grid, kind)) == expected
+
+
+@pytest.mark.parametrize(
+    "field, expected",
+    [
+        ([1e308] * 4, math.inf),
+        ([-1e308] * 4, -math.inf),
+        ([0.0, math.inf, -math.inf, 0.0], math.nan),
+    ],
+)
+def test_a_sum_past_the_float_range_is_the_ieee_result(field, expected):
+    for kind in QuadratureKind:
+        assert repr(mass(field, make_grid(3), kind)) == repr(expected)
+
+
+def test_an_overflowing_partial_sum_still_gives_the_correctly_rounded_mass():
+    # 1e308 + 1e308 leaves the float range, but the exact sum is 1e308
+    grid = make_grid(4)
+    u = [0.0, 1e308, 1e308, -1e308, 0.0]
+    for kind in QuadratureKind:
+        assert mass(u, grid, kind) == grid.dx * 1e308
 
 
 @pytest.mark.parametrize("count", [2, 9, 200, 257, 1000])
