@@ -143,11 +143,6 @@ def _json_object(text: str) -> dict:
     return raw
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse a JSON config document into a run configuration."""
-    return config_from_mapping(_json_object(text))
-
-
 def config_to_mapping(run_config: RunConfig) -> dict:
     """Inverse of config_from_mapping (round-trips exactly)."""
     control = run_config.control
@@ -170,10 +165,6 @@ def config_to_mapping(run_config: RunConfig) -> dict:
     return raw
 
 
-def serialize_config(run_config: RunConfig) -> str:
-    return json.dumps(config_to_mapping(run_config), indent=2) + "\n"
-
-
 def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
@@ -188,7 +179,7 @@ STREAM_SWITCHES = 400
 # Bytes per pipe write: 64 KiB of snapshots, but 256 switches, so that
 # the helper's work left after the run's last step is short (about 2 ms).
 _SNAPSHOT_CHUNK = 1 << 16
-_SWITCH_CHUNK = 256 * 3 * 8
+_SWITCH_CHUNK = 256 * 2 * 8
 
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
 _SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
@@ -278,8 +269,8 @@ def _open_snapshot_sink(width: int, file):
 
 def _open_switch_sink(control: ControlConfig, stages, width: int, switches, report):
     """The sink of switches.csv and report.json (see ``StreamWriter``); a
-    record is the index, time and mass of a switch detected on the time
-    grid of ``stages``.  Each chunk is paired with its closed-form times
+    record is the index and time of a switch detected on the time grid of
+    ``stages``.  Each chunk is paired with its closed-form times
     in one pass and written at once; the summary follows the last one."""
     write, pair, rows = _switch_writer(switches, report), event_pairer(control, stages), []
 
@@ -304,13 +295,14 @@ class StreamWriter:
     second usable CPU, a forked helper process owns the files: the chunks
     are piped to it as float64, and it writes them as they come.
     Otherwise, or when the fork fails, the chunks go to the sink
-    in-process.  Several writers may stream at once, but a helper holds
-    the pipes of the writers opened before it, so close them in the
-    reverse order of opening.
+    in-process.  A writer is a context manager: leaving its block closes
+    it, and if the block or the close raised, removes its files, as a
+    failed run must.  Writers that stream at once belong in one
+    ``ExitStack``, which exits the last opened first, since a helper
+    holds the pipes of the writers opened before it.
     """
 
-    def __init__(self, paths: list[Path], open_sink, width: int, chunk: int = 0,
-                 stream: bool = False) -> None:
+    def __init__(self, paths: list[Path], open_sink, width: int, chunk: int, stream: bool) -> None:
         paths[0].parent.mkdir(parents=True, exist_ok=True)
         self.paths = paths
         with ExitStack() as opened:
@@ -398,17 +390,23 @@ class StreamWriter:
         if code:
             raise OSError(f"{self._names()}: the helper writing it exited with status {code}")
 
-    def discard(self) -> None:
-        """Close, then remove the files, as a failed run must."""
+    def __enter__(self) -> StreamWriter:
+        return self
+
+    def __exit__(self, kind, value, traceback) -> None:
         try:
             self.close()
+        except BaseException:
+            kind = BaseException
+            raise
         finally:
-            for path in self.paths:
-                path.unlink(missing_ok=True)
+            if kind is not None:
+                for path in self.paths:
+                    path.unlink(missing_ok=True)
 
 
 def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | str,
-                 snapshots: StreamWriter | None = None, switches: StreamWriter | None = None) -> list[Path]:
+                 writers: ExitStack | None = None) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places and
@@ -417,41 +415,34 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     over its rows, never joined whole in memory.  Files are binary, so
     every line ends in a bare newline on every platform.
 
-    ``snapshots`` and ``switches`` are the writers of snapshots.csv and of
-    switches.csv with report.json that ``run`` fed already; they are
-    closed last, once mass.csv is written, ``switches`` first.  Without
-    ``switches``, ``report``'s rows and summary go through the same
-    switch writer here; without ``snapshots``, a new in-process writer
-    takes the trajectory's snapshots.  All snapshots must share one
-    spatial grid of at least two nodes, as those of one run do:
-    ValueError otherwise, before any file is written.  Raises OSError on
-    unwritable paths.
+    ``writers`` holds the ``StreamWriter``s of snapshots.csv and of
+    switches.csv with report.json that ``run`` fed already; ``report`` is
+    then None.  They are exited once mass.csv is written, so they close,
+    or, if mass.csv fails, also remove their files.  Without ``writers``,
+    the trajectory's snapshots and ``report``'s rows and summary are
+    written here, by the same snapshot sink and switch writer.  All
+    snapshots must share one spatial grid of at least two nodes, as those
+    of one run do: ValueError otherwise, before any file is written.
+    Raises OSError on unwritable paths.
     """
-    width = len(traj.snapshots[0].values) if traj.snapshots else 0
-    if any(len(snap.values) != width for snap in traj.snapshots):
-        raise ValueError("all snapshots must share one spatial grid")
-    if width == 1:
-        raise ValueError("a snapshot needs at least two nodes, the grid's ends")
     out = Path(out_dir)
-    if snapshots is None:
-        snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, width + 1)
-    try:
-        for values, time in traj.snapshots:
-            snapshots.add([*values, time])
-        if switches is None:
+    with writers or ExitStack():
+        if writers is None:
+            width = len(traj.snapshots[0].values) if traj.snapshots else 0
+            if any(len(snap.values) != width for snap in traj.snapshots):
+                raise ValueError("all snapshots must share one spatial grid")
+            if width == 1:
+                raise ValueError("a snapshot needs at least two nodes, the grid's ends")
+            out.mkdir(parents=True, exist_ok=True)
+            with (out / "snapshots.csv").open("wb") as f:
+                add, _ = _open_snapshot_sink(width + 1, f)
+                for values, time in traj.snapshots:
+                    add([*values, time])
             with (out / "switches.csv").open("wb") as rows, (out / "report.json").open("wb") as entries:
                 _switch_writer(rows, entries)(report.events, report)
-        else:
-            switches.end()  # its helper writes the summary while mass.csv is written
         with (out / "mass.csv").open("wb") as f:
             f.write(b"time,mass,flux\n")
             f.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
-    finally:
-        try:
-            if switches is not None:
-                switches.close()
-        finally:
-            snapshots.close()
     written = [out / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
     log.info("wrote %s", ", ".join(str(p) for p in written))
     return written
@@ -465,8 +456,8 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
     raw = _json_object(text)
     for item in overrides or []:
         key, sep, value = item.partition("=")
-        if not sep:
-            raise ConfigError(key or item, "override must look like key=value")
+        if not (key and sep):
+            raise ConfigError(item, "override must look like key=value")
         try:
             raw[key] = _json_value(value, key)
         except json.JSONDecodeError:
@@ -482,28 +473,21 @@ def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
     CPU allows, a helper process writes snapshots.csv, and another writes
     switches.csv and report.json when at least STREAM_SWITCHES
     closed-form switches lie up to the horizon; the CLI process writes
-    the rest.  A failed run leaves none of the files that were being
-    written while it stepped."""
+    the rest.  A failed run or emit leaves none of the files that were
+    being written while it stepped."""
     out = Path(out)
     control, grid, _, _, stride = run_config
     stages = schedule(run_config)
-    snapshots = StreamWriter([out / "snapshots.csv"], _open_snapshot_sink, grid.cells + 2,
-                             _SNAPSHOT_CHUNK, stride > 0)
-    switches = None
-    try:
-        switches = StreamWriter([out / "switches.csv", out / "report.json"],
-                                partial(_open_switch_sink, control, stages), 3, _SWITCH_CHUNK,
-                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
+    with ExitStack() as writers:
+        snapshots = writers.enter_context(StreamWriter(
+            [out / "snapshots.csv"], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK, stride > 0))
+        switches = writers.enter_context(StreamWriter(
+            [out / "switches.csv", out / "report.json"], partial(_open_switch_sink, control, stages), 2,
+            _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES))
         traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
-                   lambda event: switches.add([*event]))
-    except BaseException:
-        try:
-            if switches is not None:
-                switches.discard()  # raises the helper's error, if it failed
-        finally:
-            snapshots.discard()
-        raise
-    emit_outputs(traj, None, out, snapshots, switches)
+                   lambda event: switches.add([event.index, event.time]))
+        switches.end()  # its helper writes the summary while mass.csv is written
+        emit_outputs(traj, None, out, writers.pop_all())
     return traj
 
 
@@ -555,19 +539,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not step_counts:
         raise ConfigError("n-list", "must list at least one step count")
 
+    if raw.get("mode", "fixed") != "fixed":  # else the N injected here is the one rejected
+        raise ConfigError("mode", "sweep varies N and requires fixed mode")
+    run_configs = [config_from_mapping({**raw, "N": steps}) for steps in step_counts]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for steps in step_counts:
-        raw_n = dict(raw)
-        raw_n["N"] = steps
-        # config_from_mapping rejects N outside fixed mode
-        run_config = config_from_mapping(raw_n)
+    for run_config in run_configs:
         traj = run(run_config, lambda values, time: None)  # sweep writes no snapshots
         report = compare_with_oracle(traj, run_config)
         rows.append(
             {
-                "N": steps,
+                "N": run_config.mode.steps,
                 "dt": run_config.mode.stages(run_config.control)[0].dt,
                 "events": len(report.events),
                 "max_abs_err": report.max_abs_error,

@@ -77,12 +77,6 @@ class GridSpec(namedtuple("GridSpec", "cells")):
     def dx(self) -> float:
         return 1.0 / self.cells
 
-    @property
-    def points(self) -> list[float]:
-        """Node coordinates x_j = j * dx, j = 0..cells."""
-        dx = self.dx
-        return [j * dx for j in range(self.cells + 1)]
-
 
 def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     """nu = diffusivity * dt / dx^2, the implicit-scheme coupling factor."""

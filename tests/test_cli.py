@@ -20,6 +20,7 @@ import massgate
 from massgate.cli import (
     STREAM_SWITCHES,
     ConfigError,
+    _json_object,
     _log_level,
     _open_switch_sink,
     _run_and_emit,
@@ -27,8 +28,6 @@ from massgate.cli import (
     config_to_mapping,
     emit_outputs,
     main,
-    parse_config,
-    serialize_config,
 )
 from massgate.analytic import switch_count, switch_time
 from massgate.quadrature import QuadratureKind
@@ -134,7 +133,7 @@ def report_payload(report: ErrorReport) -> dict:
 
 
 def test_parse_reference_config():
-    cfg = parse_config(json.dumps(REFERENCE))
+    cfg = config_from_mapping(_json_object(json.dumps(REFERENCE)))
     assert cfg.control.lower == 0.1
     assert cfg.control.upper == 0.2
     assert cfg.control.diffusivity == 0.05
@@ -148,7 +147,7 @@ def test_parse_reference_config():
 
 
 def test_parse_adaptive_config():
-    cfg = parse_config(json.dumps(ADAPTIVE))
+    cfg = config_from_mapping(_json_object(json.dumps(ADAPTIVE)))
     assert isinstance(cfg.mode, AdaptiveGrid)
     assert cfg.mode.first_stage_steps == 10
     assert cfg.mode.stage_steps == 5
@@ -306,15 +305,15 @@ def test_missing_required_key(key):
 
 def test_parse_rejects_non_object_documents():
     with pytest.raises(ConfigError):
-        parse_config("[1, 2, 3]")
+        config_from_mapping(_json_object("[1, 2, 3]"))
     with pytest.raises(ConfigError):
-        parse_config("{not json")
+        config_from_mapping(_json_object("{not json"))
 
 
 def test_config_round_trip():
     for raw in (REFERENCE, ADAPTIVE, {**REFERENCE, "quadrature": "riemann", "snapshot_stride": 4}):
         cfg = config_from_mapping(raw)
-        again = parse_config(serialize_config(cfg))
+        again = config_from_mapping(_json_object(json.dumps(config_to_mapping(cfg), indent=2)))
         assert again == cfg
         assert config_to_mapping(again) == config_to_mapping(cfg)
 
@@ -455,6 +454,16 @@ def test_cli_rejects_non_string_names_with_diagnostic(tmp_path, capsys, override
     err = capsys.readouterr().err
     assert err.startswith(f"massgate: config error: {override.partition('=')[0]}:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("override", ["=5", "N"])
+def test_cli_rejects_an_override_without_key_or_value_naming_it(tmp_path, capsys, override):
+    config_path = write_config(tmp_path, REFERENCE)
+    code = main(["run", "--config", str(config_path), "--out", str(tmp_path / "out"), "--set", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"massgate: config error: {override}: override must look like key=value\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):
@@ -640,12 +649,12 @@ def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, m
     assert len(traj.events) == count
     emit_outputs(traj, compare_with_oracle(traj, run_config), tmp_path)
     expected = [(tmp_path / name).read_bytes() for name in ("switches.csv", "report.json")]
-    records = array("d", [value for event in traj.events for value in event])
+    records = array("d", [value for event in traj.events for value in (event.index, event.time)])
     for switches in (1, 2, 256, max(1, count)):
         files = io.BytesIO(), io.BytesIO()
-        add, finish = _open_switch_sink(run_config.control, schedule(run_config), 3, *files)
-        for i in range(0, len(records), 3 * switches):
-            add(records[i:i + 3 * switches])
+        add, finish = _open_switch_sink(run_config.control, schedule(run_config), 2, *files)
+        for i in range(0, len(records), 2 * switches):
+            add(records[i:i + 2 * switches])
         finish()
         assert [f.getvalue() for f in files] == expected, switches
 
@@ -976,6 +985,14 @@ def test_cli_sweep_rejects_bad_n_list(tmp_path, capsys):
     assert "n-list" in capsys.readouterr().err
 
 
+def test_cli_sweep_rejects_adaptive_mode_before_making_its_directory(tmp_path, capsys):
+    config_path = write_config(tmp_path, ADAPTIVE)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(config_path), "--n-list", "100", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: config error: mode: sweep varies N and requires fixed mode\n"
+    assert not out.exists()
+
+
 def test_log_level_mapping():
     assert _log_level("error") == logging.ERROR
     assert _log_level("info") == logging.INFO
@@ -991,3 +1008,25 @@ def test_adaptive_cli_run_reproduces_closed_form(tmp_path):
     first_three = [e["T_k"] for e in payload["events"][:3]]
     assert np.allclose(first_three, [0.1, 0.15, 0.2], atol=1e-9)
     assert all(abs(e["err"]) <= 1e-9 for e in payload["events"])
+
+
+@pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):
+    # mass.csv fails after the run; with a helper, the full disk under
+    # switches.csv surfaces only when its writer closes, after mass.csv
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    if blocked == "mass.csv":
+        (out / blocked).mkdir()
+    else:
+        (out / blocked).symlink_to("/dev/full")
+    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert not {"snapshots.csv", "switches.csv", "report.json"} & {path.name for path in out.iterdir()}

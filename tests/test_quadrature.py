@@ -17,7 +17,7 @@ def make_grid(cells: int) -> GridSpec:
 
 
 def sampled(fn, grid: GridSpec) -> np.ndarray:
-    return fn(np.asarray(grid.points))
+    return fn(np.asarray([j * grid.dx for j in range(grid.cells + 1)]))
 
 
 def test_trapezoid_exact_for_constants():

