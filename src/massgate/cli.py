@@ -418,7 +418,8 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     ``writers`` holds the ``StreamWriter``s of snapshots.csv and of
     switches.csv with report.json that ``run`` fed already; ``report`` is
     then None.  They are exited once mass.csv is written, so they close,
-    or, if mass.csv fails, also remove their files.  Without ``writers``,
+    or, if mass.csv fails, also remove their files.  If mass.csv or a
+    writer's close fails, mass.csv is removed too.  Without ``writers``,
     the trajectory's snapshots and ``report``'s rows and summary are
     written here, by the same snapshot sink and switch writer.  All
     snapshots must share one spatial grid of at least two nodes, as those
@@ -426,7 +427,16 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     Raises OSError on unwritable paths.
     """
     out = Path(out_dir)
-    with writers or ExitStack():
+    mass_csv = out / "mass.csv"
+    opened = False
+
+    def discard(kind, value, traceback) -> None:  # beneath the writers, so it sees their errors
+        if kind is not None and opened:
+            mass_csv.unlink(missing_ok=True)
+
+    with ExitStack() as stack:
+        stack.push(discard)
+        stack.push(writers or ExitStack())
         if writers is None:
             width = len(traj.snapshots[0].values) if traj.snapshots else 0
             if any(len(snap.values) != width for snap in traj.snapshots):
@@ -440,7 +450,8 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
                     add([*values, time])
             with (out / "switches.csv").open("wb") as rows, (out / "report.json").open("wb") as entries:
                 _switch_writer(rows, entries)(report.events, report)
-        with (out / "mass.csv").open("wb") as f:
+        with mass_csv.open("wb") as f:
+            opened = True
             f.write(b"time,mass,flux\n")
             f.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
     written = [out / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
@@ -542,8 +553,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if raw.get("mode", "fixed") != "fixed":  # else the N injected here is the one rejected
         raise ConfigError("mode", "sweep varies N and requires fixed mode")
     run_configs = [config_from_mapping({**raw, "N": steps}) for steps in step_counts]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rows = []
     for run_config in run_configs:
         traj = run(run_config, lambda values, time: None)  # sweep writes no snapshots
@@ -558,6 +567,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             }
         )
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # after the last run, so a failed sweep leaves no directory
     path = out / "sweep.csv"
     with path.open("w", encoding="utf-8") as f:
         f.write("N,dt,events,max_abs_err,all_within_bound\n")

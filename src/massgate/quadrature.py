@@ -14,11 +14,12 @@ correctly rounded sum, whatever the order of the terms and the Python
 version (J. R. Shewchuk, Discrete Comput. Geom. 18, 1997).  Halving a
 normal float is exact, so the trapezoid is rounded only once too.
 
-``pairwise_sum`` keeps numpy's float64 ``add.reduce`` order, pairwise
-over blocks of at most 128 terms with eight accumulators in each, so the
-mean switch spacing that report.json prints with %r is bit for bit
-``np.mean(np.diff(times))`` (N. J. Higham, SIAM J. Sci. Comput. 14(4),
-1993).
+A field mirror-symmetric about x = 1/2, as every field of a run is, may
+be given as its half U_0..U_h, h = J//2.  Its mass is 2 * dx times the
+fsum of the half's terms, with the trapezoid's U_0 and an even J's
+middle sample, its own mirror, halved.  Doubling is exact and fsum
+correctly rounded, so that is the same float as the whole field's mass,
+except where a halved sample is subnormal.
 """
 
 from __future__ import annotations
@@ -29,50 +30,10 @@ from enum import Enum
 
 from .stepper import GridSpec
 
-# numpy's pairwise block: at most this many terms are added without a split
-_BLOCK = 128
-
 
 class QuadratureKind(Enum):
     RIEMANN_INTERIOR = "riemann"
     TRAPEZOID = "trapezoid"
-
-
-def _values_block(a: Sequence[float], lo: int, n: int) -> float:
-    """a[lo] + ... + a[lo + n - 1], n <= _BLOCK, in numpy's block order."""
-    if n < 8:
-        res = -0.0
-        for i in range(lo, lo + n):
-            res += a[i]
-        return res
-    # eight strided accumulators, combined pairwise, then the tail in order
-    end = lo + n - n % 8
-    r0, r1, r2, r3, r4, r5, r6, r7 = a[lo:lo + 8]
-    for i in range(lo + 8, end, 8):
-        r0 += a[i]; r1 += a[i + 1]; r2 += a[i + 2]; r3 += a[i + 3]
-        r4 += a[i + 4]; r5 += a[i + 5]; r6 += a[i + 6]; r7 += a[i + 7]
-    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(end, lo + n):
-        res += a[i]
-    return res
-
-
-def _pairwise(a: Sequence[float], lo: int, n: int) -> float:
-    """Sum n terms from index lo: blocks of at most _BLOCK terms, split in
-    halves rounded down to a multiple of 8."""
-    if n <= _BLOCK:
-        return _values_block(a, lo, n)
-    half = n // 2
-    half -= half % 8
-    return _pairwise(a, lo, half) + _pairwise(a, lo + half, n - half)
-
-
-def pairwise_sum(values: Sequence[float]) -> float:
-    """The sum of ``values``, bit for bit what numpy's float64 ``sum`` gives.
-
-    Like every sum here, it adds the sum to the reduction's start value
-    0.0, which turns a sum of -0.0 into 0.0 as numpy does."""
-    return 0.0 + _pairwise(values, 0, len(values))
 
 
 def _fsum(terms: Sequence[float]) -> float:
@@ -88,17 +49,24 @@ def _fsum(terms: Sequence[float]) -> float:
 
 
 def mass(u: Sequence[float], grid: GridSpec, kind: QuadratureKind) -> float:
-    """Total mass of the samples U_0..U_J under the chosen quadrature:
-    dx times the correctly rounded sum of the weighted samples."""
+    """Total mass of the samples U_0..U_J, or of the half U_0..U_h of a
+    mirror-symmetric field, told apart by length, under the chosen
+    quadrature: dx times the correctly rounded sum of the weighted samples."""
     cells = grid.cells
-    if len(u) != cells + 1:
-        raise ValueError(f"field has {len(u)} values, grid expects {cells + 1}")
+    whole = len(u) == cells + 1
+    if not whole and len(u) != cells // 2 + 1:
+        raise ValueError(f"field has {len(u)} values, grid expects {cells + 1}, or its half {cells // 2 + 1}")
     if kind is QuadratureKind.RIEMANN_INTERIOR:
-        terms = u[1:cells]
+        terms = list(u[1:cells] if whole else u[1:])
     elif kind is QuadratureKind.TRAPEZOID:
         terms = list(u)  # the end samples weigh half
         terms[0] *= 0.5
-        terms[cells] *= 0.5
+        if whole:
+            terms[cells] *= 0.5
     else:
         raise ValueError(f"unknown quadrature kind: {kind!r}")
-    return grid.dx * _fsum(terms)
+    if whole:
+        return grid.dx * _fsum(terms)
+    if cells % 2 == 0:  # the middle sample is its own mirror
+        terms[-1] *= 0.5
+    return grid.dx * (2.0 * _fsum(terms))

@@ -28,7 +28,7 @@ from itertools import pairwise
 from . import analytic
 from .analytic import ConfigError, ControlConfig
 from .controller import SwitchEvent, observe
-from .quadrature import QuadratureKind, mass, pairwise_sum
+from .quadrature import QuadratureKind, _fsum, mass
 from .stepper import FluxSign, GridSpec, assemble, diffusion_number, step
 
 log = logging.getLogger(__name__)
@@ -182,16 +182,18 @@ def schedule(config: RunConfig) -> tuple[Stage, ...]:
 def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     """Step from the zero field through every stage of the time grid.
 
-    Each stage with steps assembles its step matrix once.  The field is a
-    plain list; after each step its mass is evaluated with the configured
-    quadrature and fed to the relay, whose flip, if any, takes effect on
-    the next step.  Step i of a stage is stamped start + i * dt, the only
-    clock, so the times carry no running-sum drift.  Deterministic:
-    identical configs give identical output.
+    Each stage with steps assembles its step matrix once.  Every field is
+    mirror-symmetric, so the state is a plain list of U_0..U_h, h = J//2,
+    stepped through the matrix's mirror fold; after each step its mass is
+    evaluated with the configured quadrature and fed to the relay, whose
+    flip, if any, takes effect on the next step.  Step i of a stage is
+    stamped start + i * dt, the only clock, so the times carry no
+    running-sum drift.  Deterministic: identical configs give identical
+    output.
 
     Every ``snapshot_stride`` steps, ``on_snapshot(values, time)`` gets
-    the field, which it must copy to keep; by default the copies are the
-    returned ``snapshots``, which are empty when a sink is given.  Each
+    the whole field U_0..U_J, mirrored from the half; by default copies
+    are the returned ``snapshots``, empty when a sink is given.  Each
     ``SwitchEvent`` goes to ``on_switch(event)``, if given, as soon as the
     relay appends it; the returned ``events`` hold every one either way.
     With debug logging on, each switch is logged as it is appended.
@@ -200,7 +202,7 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     stages = schedule(config)
     total = sum(stage.steps for stage in stages)
 
-    values = [0.0] * (grid.cells + 1)
+    values = [0.0] * (grid.cells // 2 + 1)  # U_0..U_h
     events: list[SwitchEvent] = []
     flux = FluxSign.INFLOW
     # allocated up front, so a step count too large for memory fails at once
@@ -218,7 +220,7 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     for start, dt, steps in stages:
         if not steps:
             continue  # its dt, sized past the horizon, may not even factor
-        matrix = assemble(grid, dt, control.diffusivity)
+        matrix = assemble(grid, dt, control.diffusivity).folded
         window = STEP_SLACK * analytic.mass_rate(control) * dt
         for i in range(1, steps + 1):
             time = start + i * dt
@@ -231,7 +233,7 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
             fluxes[n] = flux
             n += 1
             if stride and n % stride == 0:
-                on_snapshot(values, time)
+                on_snapshot(values + values[grid.cells % 2 - 2::-1], time)  # U_0..U_h, U_{J-h-1}..U_0
             last = flux
             flux = observe(events, mu, time, control, window)
             if flux is not last and on_switch is not None:  # a flip is an appended switch
@@ -294,8 +296,7 @@ def error_report(rows) -> ErrorReport:
     rows = tuple(rows)
     max_abs_error = max(abs(r.error) for r in rows) if rows else None
     spacings = [b.computed_time - a.computed_time for a, b in pairwise(rows)]
-    # numpy.mean's order: the pairwise sum, divided by the count
-    mean_spacing = pairwise_sum(spacings) / len(spacings) if spacings else None
+    mean_spacing = _fsum(spacings) / len(spacings) if spacings else None
     return ErrorReport(events=rows, max_abs_error=max_abs_error, mean_spacing=mean_spacing)
 
 

@@ -29,9 +29,9 @@ every pivot is at least 1 at any finite nu, and J = 2 has the one pivot 1.
 
 Both ends carry the same flux, a run starts from the zero field and the
 matrix is persymmetric, so every field of a run is mirror-symmetric,
-U_j = U_{J-j}, and a step need only solve the system folded onto
-U_1..U_h, h = J//2 (A. Cantoni and P. Butler, Linear Algebra Appl. 13,
-1976).  Its first h - 1 rows and their factors are the full system's.
+U_j = U_{J-j}; a run holds U_0..U_h, h = J//2, and a step solves the
+system folded onto U_1..U_h (A. Cantoni and P. Butler, Linear Algebra
+Appl. 13, 1976), whose first h - 1 rows and factors are the full system's.
 Its last row, the middle, meets U_{h+1} = U_h for odd J: an end row like
 the full system's last, with pivot e_{h-1} = 1 + e_{h-2} w_{h-2}, where
 w_i = nu/p_i.  For even J, U_{h+1} = U_{h-1} gives -2 nu U_{h-1} +
@@ -137,31 +137,20 @@ def solve(matrix: StepMatrix, rhs: list[float]) -> list[float]:
 
 
 def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[float]:
-    """The samples U_0..U_J one step (the matrix's dt) after ``values``
-    under the given flux sign, as a new list.
-
-    The interior comes from ``solve``, with nu * dx * s added to both
-    ends of the right-hand side; the end values follow from the one-sided
-    flux conditions, so the discrete boundary slopes equal -s and +s
-    exactly.
-
-    When ``values`` is a list of J + 1 entries equal to its own reverse,
-    as every field of a run is, only the folded system over U_1..U_{J//2}
-    is solved, and U_{J-j} is the same float as U_j.  Any other sequence
-    gets the full solve.
+    """The field one step (the matrix's dt) after ``values`` under the
+    given flux sign, as a new list: U_0..U_J for an assembled matrix, and
+    for its ``folded`` one U_0..U_h, h = J//2, of a mirror-symmetric
+    field, a run's state.  The interior comes from ``solve``, with
+    nu * dx * s added to the end rows of the right-hand side; U_0 and U_J
+    follow from the one-sided flux conditions, so the discrete boundary
+    slopes equal -s and +s exactly.
     """
     forcing = matrix.forcing * flux
     offset = matrix.dx * flux
-    if type(values) is list and len(values) == len(matrix.pivots) + 2 and values == values[::-1]:
-        rhs = values[1:(len(values) + 1) // 2]
-        rhs[0] += forcing
-        if len(values) == 3:  # J = 2: the one row is both end rows
-            rhs[0] += forcing
-        x = solve(matrix.folded, rhs)
-        field = [x[0] + offset, *x]  # U_0..U_h
-        return field + field[len(values) - len(field) - 1::-1]  # U_{h+1}..U_J are U_{J-h-1}..U_0
-    rhs = list(values[1:-1])  # a copy for any sequence, numpy views included
+    folded = matrix.folded is None
+    rhs = list(values[1:] if folded else values[1:-1])  # a copy for any sequence, numpy views included
     rhs[0] += forcing
-    rhs[-1] += forcing
-    interior = solve(matrix, rhs)
-    return [interior[0] + offset, *interior, interior[-1] + offset]
+    if not folded or matrix.dx == 0.5:  # the last row is an end row; in a fold only at J = 2
+        rhs[-1] += forcing
+    x = solve(matrix, rhs)
+    return [x[0] + offset, *x] if folded else [x[0] + offset, *x, x[-1] + offset]

@@ -993,6 +993,15 @@ def test_cli_sweep_rejects_adaptive_mode_before_making_its_directory(tmp_path, c
     assert not out.exists()
 
 
+def test_cli_sweep_whose_run_fails_leaves_no_directory(tmp_path, capsys):
+    # the config validates, but the first step's field overflows
+    config = {"m": 0.1, "M": 0.2, "alpha": 1e200, "horizon": 10, "J": 50}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--n-list", "2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("massgate: config error: mass samples must be finite")
+    assert not out.exists()
+
+
 def test_log_level_mapping():
     assert _log_level("error") == logging.ERROR
     assert _log_level("info") == logging.INFO
@@ -1014,7 +1023,8 @@ def test_adaptive_cli_run_reproduces_closed_form(tmp_path):
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):
     # mass.csv fails after the run; with a helper, the full disk under
-    # switches.csv surfaces only when its writer closes, after mass.csv
+    # switches.csv surfaces only when its writer closes, after mass.csv,
+    # which is then removed as well
     use_cpus(monkeypatch, cpus)
     if fork_fails:
         fail_fork(monkeypatch)
@@ -1030,3 +1040,5 @@ def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatc
     assert err.startswith("massgate: io error: ")
     assert len(err.strip().splitlines()) == 1
     assert not {"snapshots.csv", "switches.csv", "report.json"} & {path.name for path in out.iterdir()}
+    # only the directory in mass.csv's place, if that is what failed
+    assert [path.name for path in out.iterdir()] == (["mass.csv"] if blocked == "mass.csv" else [])

@@ -8,8 +8,9 @@ trip through its mapping; any mapping at all either builds a config or
 raises ConfigError; fixed Riemann runs keep the scheme's per-step mass
 identity and detect switch k less than (2k - 1) steps late; and one step
 matches a dense solve of the same backward-implicit system on small
-grids, and, from a mirror-symmetric field, an exact solve up to a
-diffusion number of 1e14 with a mirror-symmetric result.
+grids, and, stepped as the half of a mirror-symmetric field through the
+mirror fold, an exact solve up to a diffusion number of 1e14; and the
+mass of a mirror-symmetric field's half is the whole field's, bit for bit.
 """
 
 import contextlib
@@ -22,12 +23,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from massgate.analytic import ConfigError, ControlConfig, switch_spacing, switch_time
 from massgate.cli import config_from_mapping, config_to_mapping, main
-from massgate.quadrature import QuadratureKind
+from massgate.quadrature import QuadratureKind, mass
 from massgate.runner import STEP_SLACK, AdaptiveGrid, FixedGrid, RunConfig, compare_with_oracle, run
 from massgate.stepper import FluxSign, GridSpec, assemble, diffusion_number, step
 from test_tridiag import exact_solve
@@ -331,13 +333,13 @@ def test_step_matches_a_dense_solve_on_small_grids(cells, nu, alpha, flux, value
     half=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7),
 )
 def test_step_of_a_mirror_symmetric_field_matches_an_exact_solve(cells, nu, flux, half):
-    # A list equal to its own reverse takes the folded solve, whose output
-    # is a mirror bit for bit; the reference is the exact solution of the
-    # full system at the same rounded right-hand side.
+    # The half U_0..U_h stepped through the mirror fold, then mirrored;
+    # the reference is the exact solution of the full system at the same
+    # rounded right-hand side.
     values = [half[min(j, cells - j)] for j in range(cells + 1)]
     matrix = assemble(GridSpec(cells), nu / cells**2, 1.0)
-    new = step(values, flux, matrix)
-    assert [u.hex() for u in new] == [u.hex() for u in reversed(new)]
+    folded = step(half[:cells // 2 + 1], flux, matrix.folded)
+    new = folded + folded[cells % 2 - 2::-1]
 
     forcing = matrix.forcing * flux
     rhs = values[1:-1]
@@ -349,3 +351,21 @@ def test_step_of_a_mirror_symmetric_field_matches_an_exact_solve(cells, nu, flux
     expected = [interior[0] + offset, *interior, interior[-1] + offset]
     error = max(abs(Fraction(u) - e) for u, e in zip(new, expected))
     assert error <= Fraction(1e-12) * max(map(abs, expected))
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(
+    cells=st.integers(2, 13),
+    kind=st.sampled_from(list(QuadratureKind)),
+    # normal floats, and zeros, whose halves are exact
+    half=st.lists(st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+                  .filter(lambda x: 2.0 * (0.5 * x) == x), min_size=7, max_size=7),
+)
+def test_mass_of_a_mirror_half_is_the_mass_of_the_whole_field_bit_for_bit(cells, kind, half):
+    half = half[:cells // 2 + 1]
+    grid = GridSpec(cells)
+    assert mass(half, grid, kind).hex() == mass(half + half[cells % 2 - 2::-1], grid, kind).hex()
+    for length in range(cells + 4):
+        if length not in (cells // 2 + 1, cells + 1):
+            with pytest.raises(ValueError):
+                mass([0.0] * length, grid, kind)
