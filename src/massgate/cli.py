@@ -48,14 +48,17 @@ from .stepper import GridSpec
 
 log = logging.getLogger(__name__)
 
-_KEYS = {"m", "M", "alpha", "horizon", "J", "N", "quadrature", "mode", "N0", "Nstage", "snapshot_stride"}
-_QUADRATURES = {"riemann", "trapezoid"}
-_MODES = {"fixed", "adaptive"}
 # `oracle` rejects a horizon with more closed-form switches than this.
 MAX_ORACLE_ROWS = 1_000_000
-# Config record field -> config key, for fields whose names differ.
-_FIELD_KEYS = {"lower": "m", "upper": "M", "diffusivity": "alpha", "cells": "J",
-               "steps": "N", "first_stage_steps": "N0", "stage_steps": "Nstage"}
+# Config key -> the record field it sets; inverted, it re-keys record errors.
+_FIELDS = {"m": "lower", "M": "upper", "alpha": "diffusivity", "horizon": "horizon", "J": "cells",
+           "N": "steps", "N0": "first_stage_steps", "Nstage": "stage_steps", "quadrature": "quadrature",
+           "mode": "mode", "snapshot_stride": "snapshot_stride"}
+_KEY_OF = {field: key for key, field in _FIELDS.items()}
+# Mode name -> its grid record, whose fields' keys only that mode takes, and
+# its default quadrature.
+_GRIDS = {"fixed": (FixedGrid, QuadratureKind.TRAPEZOID),
+          "adaptive": (AdaptiveGrid, QuadratureKind.RIEMANN_INTERIOR)}
 
 
 def _require(
@@ -78,50 +81,39 @@ def _require(
         raise ConfigError(key, "integer too large for a float") from None
 
 
+def _choice(raw: dict, key: str, choices: dict, default: str):
+    """choices[raw[key]], or choices[default] when absent; raw[key] must
+    name one of ``choices``."""
+    name = raw.get(key, default)
+    if not isinstance(name, str) or name not in choices:
+        raise ConfigError(key, f"must be one of {sorted(choices)}, got {name!r}")
+    return choices[name]
+
+
 def config_from_mapping(raw: dict) -> RunConfig:
     """Validate a flat config mapping and build the run configuration.
 
     Key names and value types are checked here, value invariants by the
     config records, whose errors are re-keyed to config keys."""
     for key in raw:
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(key, "unknown key")
 
-    lower = _require(raw, "m")
-    upper = _require(raw, "M")
-    alpha = _require(raw, "alpha")
-    horizon = _require(raw, "horizon")
+    control = [_require(raw, _KEY_OF[field]) for field in ControlConfig._fields]
     cells = _require(raw, "J", integer=True)
-
-    mode_name = raw.get("mode", "fixed")
-    if not isinstance(mode_name, str) or mode_name not in _MODES:
-        raise ConfigError("mode", f"must be one of {sorted(_MODES)}, got {mode_name!r}")
-
-    quad_name = raw.get("quadrature", "trapezoid" if mode_name == "fixed" else "riemann")
-    if not isinstance(quad_name, str) or quad_name not in _QUADRATURES:
-        raise ConfigError("quadrature", f"must be one of {sorted(_QUADRATURES)}, got {quad_name!r}")
-
+    record, default = _choice(raw, "mode", _GRIDS, "fixed")
+    quadrature = _choice(raw, "quadrature", {kind.value: kind for kind in QuadratureKind}, default.value)
     stride = _require(raw, "snapshot_stride", integer=True, default=0)
 
+    for name, (other, _) in _GRIDS.items():
+        stray = [key for key in map(_KEY_OF.get, other._fields) if key in raw]
+        if stray and other is not record:
+            raise ConfigError(stray[0], f"only valid in {name} mode")
     try:
-        if mode_name == "fixed":
-            for key in ("N0", "Nstage"):
-                if key in raw:
-                    raise ConfigError(key, "only valid in adaptive mode")
-            mode = FixedGrid(_require(raw, "N", integer=True))
-        else:
-            if "N" in raw:
-                raise ConfigError("N", "only valid in fixed mode")
-            mode = AdaptiveGrid(_require(raw, "N0", integer=True), _require(raw, "Nstage", integer=True))
-        return RunConfig(
-            control=ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon),
-            grid=GridSpec(cells),
-            quadrature=QuadratureKind(quad_name),
-            mode=mode,
-            snapshot_stride=stride,
-        )
-    except ConfigError as exc:  # record field names -> config keys; CLI keys pass through
-        raise ConfigError(_FIELD_KEYS.get(exc.key, exc.key), exc.message) from exc
+        mode = record(*(_require(raw, _KEY_OF[field], integer=True) for field in record._fields))
+        return RunConfig(ControlConfig(*control), GridSpec(cells), quadrature, mode, stride)
+    except ConfigError as exc:  # record field names -> config keys; config keys pass through
+        raise ConfigError(_KEY_OF.get(exc.key, exc.key), exc.message) from exc
 
 
 def _json_value(text: str, key: str):
@@ -145,24 +137,11 @@ def _json_object(text: str) -> dict:
 
 def config_to_mapping(run_config: RunConfig) -> dict:
     """Inverse of config_from_mapping (round-trips exactly)."""
-    control = run_config.control
-    raw: dict = {
-        "m": control.lower,
-        "M": control.upper,
-        "alpha": control.diffusivity,
-        "horizon": control.horizon,
-        "J": run_config.grid.cells,
-        "quadrature": run_config.quadrature.value,
-        "snapshot_stride": run_config.snapshot_stride,
-    }
-    if isinstance(run_config.mode, AdaptiveGrid):
-        raw["mode"] = "adaptive"
-        raw["N0"] = run_config.mode.first_stage_steps
-        raw["Nstage"] = run_config.mode.stage_steps
-    else:
-        raw["mode"] = "fixed"
-        raw["N"] = run_config.mode.steps
-    return raw
+    control, grid, quadrature, mode, _ = run_config
+    fields = {**run_config._asdict(), **control._asdict(), **grid._asdict(), **mode._asdict(),
+              "quadrature": quadrature.value,
+              "mode": next(name for name, (record, _) in _GRIDS.items() if isinstance(mode, record))}
+    return {key: fields[field] for key, field in _FIELDS.items() if field in fields}
 
 
 def _fmt(value: float) -> str:
@@ -240,7 +219,13 @@ def _switch_writer(switches, report):
 def _snapshot_formatter():
     """``format_snapshot(values, time)``, which prints one snapshot as its
     snapshots.csv rows with one ``%`` of a byte template that the first
-    call builds for its number of values, every node's x_j filled in."""
+    call builds for its number of values, every node's x_j filled in.
+
+    The rows are built at the first snapshot, not when the sink opens:
+    every run opens the snapshot sink, with width J + 2 even at stride 0,
+    and J may be close to ``sys.maxsize``.  Such a run must fail at once,
+    out of memory, when it allocates its field; building J + 1 rows at
+    open would hang it first."""
     node_rows: list[bytes] = []
 
     def format_snapshot(values, time: float) -> bytes:

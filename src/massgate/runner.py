@@ -55,9 +55,10 @@ class Stage(namedtuple("Stage", "start dt steps")):
 
 
 def _steps_to_horizon(start: float, dt: float, horizon: float) -> int:
-    """Steps of size dt from ``start`` until a step ends at or past the
-    horizon; any count past a machine index comes out as 2**63."""
-    return max(0, math.ceil(min((horizon - start) / dt - STEP_SLACK, 2.0**63)))
+    """Steps of size dt from ``start`` that end by the horizon, or within
+    STEP_SLACK of a step past it; any count past a machine index comes
+    out as 2**63."""
+    return max(0, math.floor(min((horizon - start) / dt + STEP_SLACK, 2.0**63)))
 
 
 class FixedGrid(namedtuple("FixedGrid", "steps")):
@@ -90,7 +91,8 @@ class AdaptiveGrid(namedtuple("AdaptiveGrid", "first_stage_steps stage_steps")):
         """The climb from zero mass to the upper threshold, then steps that
         take the mass between the thresholds in ``stage_steps`` steps.
 
-        Either stage stops early at the horizon, so the run is bounded.
+        Either stage stops early, on its last step that ends by the
+        horizon, so the run is bounded and no step ends past it.
         """
         rate = analytic.mass_rate(control)
         climb_dt = control.upper / (rate * self.first_stage_steps)

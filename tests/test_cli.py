@@ -1019,6 +1019,19 @@ def test_adaptive_cli_run_reproduces_closed_form(tmp_path):
     assert all(abs(e["err"]) <= 1e-9 for e in payload["events"])
 
 
+def test_adaptive_cli_run_stops_at_the_horizon_as_oracle_does(tmp_path, capsys):
+    # The horizon lies half a stage step past t_1 = 0.25; a step to 0.375
+    # would detect switch 2, past the horizon.
+    config = {"m": 0.25, "M": 0.5, "alpha": 1, "horizon": 0.3125, "J": 2, "mode": "adaptive", "N0": 1, "Nstage": 1}
+    config_path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["oracle", "--config", str(config_path)]) == 0
+    oracle = capsys.readouterr().out.splitlines()[-1]
+    assert [(row["k"], row["T_k"]) for row in read_rows(out / "switches.csv")] == [tuple(oracle.split(","))]
+    assert [row["time"] for row in read_rows(out / "mass.csv")] == ["0.2500000000"]
+
+
 @pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):

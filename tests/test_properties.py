@@ -101,16 +101,14 @@ def test_adaptive_runs_match_the_closed_form(alpha, upper, ratio, first, later, 
     later=st.integers(1, 6),
     cells=st.integers(2, 200),
     switches=st.integers(1, 40),
+    past=st.floats(0.0, 0.9),
 )
 def test_adaptive_runs_match_the_closed_form_up_to_a_diffusion_number_of_1e14(
-        nu, alpha, ratio, first, later, cells, switches):
+        nu, alpha, ratio, first, later, cells, switches, past):
     # The climb's diffusion number is upper * J**2 / (2 * N0); every stage
-    # end must still land on its threshold within STEP_SLACK.  The horizon
-    # is on the last switch, where the schedule ends; past it the last step
-    # may overrun the horizon and detect one switch more, which is not
-    # what this property checks.
+    # end must still land on its threshold within STEP_SLACK.
     upper = 2.0 * first * nu / cells**2
-    assert_adaptive_run_matches_the_closed_form(alpha, upper, ratio, first, later, cells, switches, 0.0)
+    assert_adaptive_run_matches_the_closed_form(alpha, upper, ratio, first, later, cells, switches, past)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=100)
@@ -230,7 +228,9 @@ def arbitrary_mappings(draw):
 def test_any_mapping_builds_a_config_or_raises_config_error(raw):
     try:
         cfg = config_from_mapping(raw)
-    except ConfigError:
+    except ConfigError as exc:
+        # never a record field such as lower, cells or first_stage_steps
+        assert exc.key in CONFIG_KEYS or exc.key == "config" or exc.key in raw
         return
     assert isinstance(cfg, RunConfig)
 
@@ -293,6 +293,30 @@ def test_fixed_riemann_mass_moves_by_the_rate_times_dt(alpha, upper, ratio, cell
     for n, (mu, flux) in enumerate(zip(traj.masses, traj.fluxes), start=1):
         expected += increment * flux
         assert abs(mu - expected) <= n * scale
+
+
+@settings(PROPERTY_SETTINGS, max_examples=80)
+@given(
+    alpha=log_uniform(-4, 4),
+    upper=log_uniform(-4, 4),
+    ratio=st.floats(0.01, 0.99),
+    cells=st.integers(2, 20),
+    adaptive=st.booleans(),
+    steps=st.integers(1, 400),
+    first=st.integers(1, 6),
+    later=st.integers(1, 6),
+    switches=st.integers(1, 12),
+    past=st.floats(0.0, 0.9),
+)
+def test_no_step_ends_past_the_horizon(alpha, upper, ratio, cells, adaptive, steps, first, later, switches, past):
+    # The run ends on the last step that ends by the horizon, not on the
+    # first step that ends at or past it.
+    cfg = fixed_riemann(alpha, upper, ratio, cells, steps, switches, past)
+    if adaptive:
+        cfg = RunConfig(cfg.control, cfg.grid, cfg.quadrature, AdaptiveGrid(first, later))
+    dt = cfg.mode.stages(cfg.control)[-1].dt
+    horizon = cfg.control.horizon
+    assert horizon - dt < max(run(cfg).times) <= horizon + STEP_SLACK * dt
 
 
 def dense_step(values: list[float], flux: int, cells: int, nu: float) -> np.ndarray:
