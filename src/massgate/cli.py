@@ -160,6 +160,8 @@ STREAM_SWITCHES = 400
 _SNAPSHOT_CHUNK = 1 << 16
 _SWITCH_CHUNK = 256 * 2 * 8
 
+# A run's output files, in the order ``_create`` opens them.
+OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
 _SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
 
@@ -271,34 +273,28 @@ class StreamWriter:
     """Output files of one run, written one record of ``width`` floats at
     a time while the run steps.
 
-    ``open_sink(width, *files)`` writes the files' headers and returns
-    ``(add, finish)``: ``add(batch)`` writes a flat sequence of whole
-    records, and ``finish()`` what follows the last one.  The files are
-    opened here, so open errors surface before the run.  ``add(record)``
-    takes a list of floats into an ``array('d')`` and passes on the whole
-    records that fit in ``chunk`` bytes at once.  With ``stream`` and a
-    second usable CPU, a forked helper process owns the files: the chunks
-    are piped to it as float64, and it writes them as they come.
-    Otherwise, or when the fork fails, the chunks go to the sink
-    in-process.  A writer is a context manager: leaving its block closes
-    it, and if the block or the close raised, removes its files, as a
-    failed run must.  Writers that stream at once belong in one
-    ``ExitStack``, which exits the last opened first, since a helper
-    holds the pipes of the writers opened before it.
+    ``open_sink(width, *files)`` writes the headers of ``files``, open
+    binary files, and returns ``(add, finish)``: ``add(batch)`` writes a
+    flat sequence of whole records, and ``finish()`` what follows the
+    last one.  ``add(record)`` takes a list of floats into an
+    ``array('d')`` and passes on the whole records that fit in ``chunk``
+    bytes at once.  With ``stream`` and a second usable CPU, a forked
+    helper process owns the files: the chunks are piped to it as float64,
+    and it writes them as they come, then closes them.  Otherwise, or
+    when the fork fails, the chunks go to the sink in-process, and the
+    caller closes the files.  Close writers that stream at once last
+    created first, since a helper holds the pipes of the writers created
+    before it.
     """
 
-    def __init__(self, paths: list[Path], open_sink, width: int, chunk: int, stream: bool) -> None:
-        paths[0].parent.mkdir(parents=True, exist_ok=True)
-        self.paths = paths
-        with ExitStack() as opened:
-            self.files = [opened.enter_context(path.open("wb")) for path in paths]
-            self.opened = opened.pop_all()
+    def __init__(self, files: list, open_sink, width: int, chunk: int, stream: bool) -> None:
+        self.files = files
         self.records, self.batch = array("d"), width * max(1, chunk // (8 * width))
         self.pid = 0
         if stream and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             self.pid = self._fork(open_sink, width)
         if not self.pid:
-            self.write, self.finish = open_sink(width, *self.files)
+            self.write, self.finish = open_sink(width, *files)
 
     def _fork(self, open_sink, width: int) -> int:
         """Fork the helper and return its pid, or 0 if the fork failed."""
@@ -316,21 +312,25 @@ class StreamWriter:
             os.close(write_end)  # else the pipe would never close
             self._serve(read_end, open_sink, width)
         os.close(read_end)
-        self.opened.close()  # the helper's now; nothing was written to them here
+        for file in self.files:  # the helper's now; nothing was written to them here
+            file.close()
         self.pipe = open(write_end, "wb", buffering=8 * self.batch)
         self.write = self.pipe.write
         return pid
 
     def _serve(self, pipe: int, open_sink, width: int) -> None:
         """The helper process: write the records from the pipe, read a
-        chunk at a time.  Exits 0, an OSError's errno, or 255 otherwise."""
+        chunk at a time, and close its own files, none of the others it
+        inherited.  Exits 0, an OSError's errno, or 255 otherwise."""
         code = 255
         try:
-            with open(pipe, "rb") as records, self.opened:
+            with open(pipe, "rb") as records:
                 add, finish = open_sink(width, *self.files)
                 while data := records.read(8 * self.batch):
                     add(array("d", data).tolist())
                 finish()
+            for file in self.files:
+                file.close()
             code = 0
         except OSError as exc:
             code = exc.errno or 255
@@ -345,7 +345,7 @@ class StreamWriter:
             del records[:]
 
     def _names(self) -> str:
-        return ", ".join(map(str, self.paths))
+        return ", ".join(file.name for file in self.files)
 
     def end(self) -> None:
         """Add no more records; a helper then finishes the files while the
@@ -361,9 +361,8 @@ class StreamWriter:
         """Complete the files: finish them here, or end the input and wait
         for the helper.  OSError if a record was not written."""
         if not self.pid:
-            with self.opened:  # closes every file, even if finish fails
-                self.write(self.records)
-                self.finish()
+            self.write(self.records)
+            self.finish()
             return
         self.end()
         _, status, usage = os.wait4(self.pid, 0)
@@ -375,23 +374,28 @@ class StreamWriter:
         if code:
             raise OSError(f"{self._names()}: the helper writing it exited with status {code}")
 
-    def __enter__(self) -> StreamWriter:
-        return self
 
-    def __exit__(self, kind, value, traceback) -> None:
-        try:
-            self.close()
-        except BaseException:
-            kind = BaseException
-            raise
-        finally:
-            if kind is not None:
-                for path in self.paths:
-                    path.unlink(missing_ok=True)
+def _create(stack: ExitStack, out: Path) -> list:
+    """Make ``out`` and open its OUTPUTS for writing, in that order, on
+    ``stack``.  Beneath them goes the one callback that removes output
+    files: if the stack unwinds with an error, it unlinks every file
+    opened here, whatever failed and wherever."""
+    out.mkdir(parents=True, exist_ok=True)
+    files = []
+
+    def discard(kind, value, traceback) -> None:
+        if kind is not None:
+            for file in files:
+                Path(file.name).unlink(missing_ok=True)
+
+    stack.push(discard)
+    for name in OUTPUTS:
+        files.append(stack.enter_context((out / name).open("wb")))
+    return files
 
 
 def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | str,
-                 writers: ExitStack | None = None) -> list[Path]:
+                 streamed: tuple[ExitStack, object] | None = None) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places and
@@ -400,46 +404,35 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     over its rows, never joined whole in memory.  Files are binary, so
     every line ends in a bare newline on every platform.
 
-    ``writers`` holds the ``StreamWriter``s of snapshots.csv and of
-    switches.csv with report.json that ``run`` fed already; ``report`` is
-    then None.  They are exited once mass.csv is written, so they close,
-    or, if mass.csv fails, also remove their files.  If mass.csv or a
-    writer's close fails, mass.csv is removed too.  Without ``writers``,
+    ``streamed`` is ``(stack, mass_csv)``: the ``ExitStack`` on which
+    ``_create`` opened the four files and the run's ``StreamWriter``s
+    registered their closes, and the open mass.csv; ``report`` is then
+    None.  The stack unwinds once mass.csv is written, so the writers
+    close.  Without ``streamed``, ``_create`` opens the files here, and
     the trajectory's snapshots and ``report``'s rows and summary are
-    written here, by the same snapshot sink and switch writer.  All
-    snapshots must share one spatial grid of at least two nodes, as those
-    of one run do: ValueError otherwise, before any file is written.
-    Raises OSError on unwritable paths.
+    written by the same snapshot sink and switch writer.  All snapshots
+    must share one spatial grid of at least two nodes, as those of one
+    run do: ValueError otherwise, before any file is opened.  Raises
+    OSError on unwritable paths.  If anything fails, none of the four
+    files is left.
     """
     out = Path(out_dir)
-    mass_csv = out / "mass.csv"
-    opened = False
-
-    def discard(kind, value, traceback) -> None:  # beneath the writers, so it sees their errors
-        if kind is not None and opened:
-            mass_csv.unlink(missing_ok=True)
-
-    with ExitStack() as stack:
-        stack.push(discard)
-        stack.push(writers or ExitStack())
-        if writers is None:
+    stack, mass_csv = streamed or (ExitStack(), None)
+    with stack:
+        if mass_csv is None:
             width = len(traj.snapshots[0].values) if traj.snapshots else 0
             if any(len(snap.values) != width for snap in traj.snapshots):
                 raise ValueError("all snapshots must share one spatial grid")
             if width == 1:
                 raise ValueError("a snapshot needs at least two nodes, the grid's ends")
-            out.mkdir(parents=True, exist_ok=True)
-            with (out / "snapshots.csv").open("wb") as f:
-                add, _ = _open_snapshot_sink(width + 1, f)
-                for values, time in traj.snapshots:
-                    add([*values, time])
-            with (out / "switches.csv").open("wb") as rows, (out / "report.json").open("wb") as entries:
-                _switch_writer(rows, entries)(report.events, report)
-        with mass_csv.open("wb") as f:
-            opened = True
-            f.write(b"time,mass,flux\n")
-            f.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
-    written = [out / name for name in ("switches.csv", "mass.csv", "snapshots.csv", "report.json")]
+            switches, mass_csv, snapshots, entries = _create(stack, out)
+            add, _ = _open_snapshot_sink(width + 1, snapshots)
+            for values, time in traj.snapshots:
+                add([*values, time])
+            _switch_writer(switches, entries)(report.events, report)
+        mass_csv.write(b"time,mass,flux\n")
+        mass_csv.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
+    written = [out / name for name in OUTPUTS]
     log.info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
@@ -463,27 +456,29 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
     """Run and emit the four files.  The time grid is computed first, so
-    a config that ``run`` rejects for it opens no file.  snapshots.csv,
-    switches.csv and report.json are written while the run steps, each
-    switch paired with its closed-form time as it comes.  Where a second
-    CPU allows, a helper process writes snapshots.csv, and another writes
-    switches.csv and report.json when at least STREAM_SWITCHES
-    closed-form switches lie up to the horizon; the CLI process writes
-    the rest.  A failed run or emit leaves none of the files that were
-    being written while it stepped."""
+    a config that ``run`` rejects for it opens no file; then all four are
+    opened, so an unwritable one fails before the first step.
+    snapshots.csv, switches.csv and report.json are written while the run
+    steps, each switch paired with its closed-form time as it comes.
+    Where a second CPU allows, a helper process writes snapshots.csv, and
+    another writes switches.csv and report.json when at least
+    STREAM_SWITCHES closed-form switches lie up to the horizon; the CLI
+    process writes the rest.  A failed run or emit leaves none of the
+    four files."""
     out = Path(out)
     control, grid, _, _, stride = run_config
     stages = schedule(run_config)
-    with ExitStack() as writers:
-        snapshots = writers.enter_context(StreamWriter(
-            [out / "snapshots.csv"], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK, stride > 0))
-        switches = writers.enter_context(StreamWriter(
-            [out / "switches.csv", out / "report.json"], partial(_open_switch_sink, control, stages), 2,
-            _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES))
+    with ExitStack() as stack:
+        switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
+        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK, stride > 0)
+        stack.callback(snapshots.close)
+        switches = StreamWriter([switches_csv, report_json], partial(_open_switch_sink, control, stages), 2,
+                                _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
+        stack.callback(switches.close)  # closed first: its helper holds the snapshot pipe
         traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
                    lambda event: switches.add([event.index, event.time]))
         switches.end()  # its helper writes the summary while mass.csv is written
-        emit_outputs(traj, None, out, writers.pop_all())
+        emit_outputs(traj, None, out, (stack.pop_all(), mass_csv))
     return traj
 
 

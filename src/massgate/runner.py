@@ -198,7 +198,8 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     are the returned ``snapshots``, empty when a sink is given.  Each
     ``SwitchEvent`` goes to ``on_switch(event)``, if given, as soon as the
     relay appends it; the returned ``events`` hold every one either way.
-    With debug logging on, each switch is logged as it is appended.
+    With debug logging on, each switch is logged as it is appended: its
+    index, time, mass and overshoot past the threshold it crossed.
     """
     control, grid, quadrature, _, stride = config
     stages = schedule(config)
@@ -215,8 +216,7 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     if on_snapshot is None:
         def on_snapshot(values: list[float], time: float) -> None:
             snapshots.append(FieldState(array("d", values), time))
-    if log.isEnabledFor(logging.DEBUG):  # checked once per run, not per step
-        on_switch = _logged(on_switch, control)
+    debug = log.isEnabledFor(logging.DEBUG)  # checked once per run, not per step
 
     n = 0
     for start, dt, steps in stages:
@@ -238,8 +238,12 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
                 on_snapshot(values + values[grid.cells % 2 - 2::-1], time)  # U_0..U_h, U_{J-h-1}..U_0
             last = flux
             flux = observe(events, mu, time, control, window)
-            if flux is not last and on_switch is not None:  # a flip is an appended switch
-                on_switch(events[-1])
+            if flux is not last:  # a flip is an appended switch
+                if debug:
+                    overshoot = mu - control.upper if len(events) % 2 else control.lower - mu
+                    log.debug("switch %d at t=%r: mass %r, overshoot %r", len(events), time, mu, overshoot)
+                if on_switch is not None:
+                    on_switch(events[-1])
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
     return Trajectory(
@@ -249,19 +253,6 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
         snapshots=tuple(snapshots),
         events=tuple(events),
     )
-
-
-def _logged(on_switch, control: ControlConfig):
-    """``on_switch``, if any, behind a debug line for each switch: its
-    index, time, mass and overshoot past the threshold it crossed."""
-    def logged(event: SwitchEvent) -> None:
-        index, time, mu = event
-        overshoot = mu - control.upper if index % 2 else control.lower - mu
-        log.debug("switch %d at t=%r: mass %r, overshoot %r", index, time, mu, overshoot)
-        if on_switch is not None:
-            on_switch(event)
-
-    return logged
 
 
 def event_pairer(control: ControlConfig, stages: tuple[Stage, ...]):

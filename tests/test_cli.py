@@ -980,9 +980,10 @@ def test_cli_sweep_subcommand(tmp_path):
 
 def test_cli_sweep_rejects_bad_n_list(tmp_path, capsys):
     config_path = write_config(tmp_path, REFERENCE)
-    code = main(["sweep", "--config", str(config_path), "--n-list", "a,b", "--out", str(tmp_path / "s")])
-    assert code == 1
-    assert "n-list" in capsys.readouterr().err
+    for n_list in ("a,b", ","):  # not integers; no step count at all
+        code = main(["sweep", "--config", str(config_path), "--n-list", n_list, "--out", str(tmp_path / "s")])
+        assert code == 1
+        assert "n-list" in capsys.readouterr().err
 
 
 def test_cli_sweep_rejects_adaptive_mode_before_making_its_directory(tmp_path, capsys):
@@ -1035,9 +1036,9 @@ def test_adaptive_cli_run_stops_at_the_horizon_as_oracle_does(tmp_path, capsys):
 @pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):
-    # mass.csv fails after the run; with a helper, the full disk under
-    # switches.csv surfaces only when its writer closes, after mass.csv,
-    # which is then removed as well
+    # mass.csv fails when it is opened, before the run; with a helper, the
+    # full disk under switches.csv surfaces only when its writer closes,
+    # after mass.csv, which is then removed as well
     use_cpus(monkeypatch, cpus)
     if fork_fails:
         fail_fork(monkeypatch)
@@ -1055,3 +1056,62 @@ def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatc
     assert not {"snapshots.csv", "switches.csv", "report.json"} & {path.name for path in out.iterdir()}
     # only the directory in mass.csv's place, if that is what failed
     assert [path.name for path in out.iterdir()] == (["mass.csv"] if blocked == "mass.csv" else [])
+
+
+@pytest.mark.parametrize("blocked", OUTPUTS)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, monkeypatch, cpus, blocked):
+    # every file is opened before the run, and those opened before the
+    # directory failed are removed
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert [path.name for path in out.iterdir()] == [blocked]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_run_failing_at_step_1_removes_an_earlier_runs_outputs(tmp_path, capsys, monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
+    capsys.readouterr()
+    # the first step's field overflows
+    assert main(["run", "--config", str(config_path), "--out", str(out), "--set", "alpha=1e200"]) == 1
+    assert capsys.readouterr().err.startswith("massgate: config error: mass samples must be finite")
+    assert list(out.iterdir()) == []
+
+
+def test_failed_emit_outputs_leaves_no_file(tmp_path):
+    run_config = config_from_mapping({**REFERENCE, "snapshot_stride": 10})
+    traj = run(run_config)
+    (tmp_path / "report.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        emit_outputs(traj, compare_with_oracle(traj, run_config), tmp_path)
+    assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch, cpus):
+    use_cpus(monkeypatch, cpus)
+    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 7})
+    outputs, debug = {}, {}
+    for level in ("debug", "error"):
+        monkeypatch.setenv("MASSGATE_LOG", level)
+        out = tmp_path / level
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        outputs[level] = {name: (out / name).read_bytes() for name in OUTPUTS}
+        debug[level] = [line for line in capsys.readouterr().err.splitlines() if line.startswith("DEBUG ")]
+    assert outputs["debug"] == outputs["error"]
+    assert debug["error"] == []
+    rows = read_rows(tmp_path / "debug" / "switches.csv")
+    assert len(debug["debug"]) == len(rows) == 499
+    for line, row in zip(debug["debug"], rows):
+        k, time = re.match(r"DEBUG massgate\.runner: switch (\d+) at t=(\S+): mass ", line).groups()
+        assert (k, f"{float(time):.10f}") == (row["k"], row["T_k"])
