@@ -40,9 +40,8 @@ from .runner import (
     Trajectory,
     compare_with_oracle,
     error_report,
-    event_pairer,
+    pair_switch,
     run,
-    schedule,
 )
 from .stepper import GridSpec
 
@@ -259,10 +258,10 @@ def _open_switch_sink(control: ControlConfig, stages, width: int, switches, repo
     record is the index and time of a switch detected on the time grid of
     ``stages``.  Each chunk is paired with its closed-form times
     in one pass and written at once; the summary follows the last one."""
-    write, pair, rows = _switch_writer(switches, report), event_pairer(control, stages), []
+    write, rows = _switch_writer(switches, report), []
 
     def add(batch) -> None:
-        chunk = [pair(int(batch[i]), batch[i + 1]) for i in range(0, len(batch), width)]
+        chunk = [pair_switch(int(batch[i]), batch[i + 1], control, stages) for i in range(0, len(batch), width)]
         rows.extend(chunk)
         write(chunk)
 
@@ -455,22 +454,22 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
-    """Run and emit the four files.  The time grid is computed first, so
-    a config that ``run`` rejects for it opens no file; then all four are
-    opened, so an unwritable one fails before the first step.
-    snapshots.csv, switches.csv and report.json are written while the run
-    steps, each switch paired with its closed-form time as it comes.
-    Where a second CPU allows, a helper process writes snapshots.csv, and
-    another writes switches.csv and report.json when at least
-    STREAM_SWITCHES closed-form switches lie up to the horizon; the CLI
-    process writes the rest.  A failed run or emit leaves none of the
+    """Run and emit the four files.  All four are opened first, so an
+    unwritable one fails before the first step.  snapshots.csv,
+    switches.csv and report.json are written while the run steps, each
+    switch paired with its closed-form time as it comes.  Where a second
+    CPU allows, a helper process writes snapshots.csv when the run takes
+    a snapshot, and another writes switches.csv and report.json when at
+    least STREAM_SWITCHES closed-form switches lie up to the horizon; the
+    CLI process writes the rest.  A failed run or emit leaves none of the
     four files."""
     out = Path(out)
-    control, grid, _, _, stride = run_config
-    stages = schedule(run_config)
+    control, grid, _, mode, stride = run_config
+    stages = mode.stages(control)
     with ExitStack() as stack:
         switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
-        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK, stride > 0)
+        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK,
+                                 0 < stride <= sum(stage.steps for stage in stages))
         stack.callback(snapshots.close)
         switches = StreamWriter([switches_csv, report_json], partial(_open_switch_sink, control, stages), 2,
                                 _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)

@@ -11,8 +11,8 @@ and the second uses dt sized so it lands exactly on the opposite
 threshold every ``stage_steps`` steps.  The detected switch times then
 coincide with the closed-form ones at any threshold size and horizon.
 
-``compare_with_oracle`` pairs each detected switch against the closed
-form and checks the per-switch error bound
+``pair_switch`` pairs a detected switch with its closed-form time and
+checks the per-switch error bound
 -STEP_SLACK * dt <= error < k * dt, which fixed grids can miss.
 """
 
@@ -54,10 +54,12 @@ class Stage(namedtuple("Stage", "start dt steps")):
         return self.start + self.steps * self.dt
 
 
-def _steps_to_horizon(start: float, dt: float, horizon: float) -> int:
+def _steps_to_horizon(start: float, dt: float, horizon: float, field: str) -> int:
     """Steps of size dt from ``start`` that end by the horizon, or within
     STEP_SLACK of a step past it; any count past a machine index comes
-    out as 2**63."""
+    out as 2**63.  A ConfigError on ``field``, which sized dt, if dt is 0."""
+    if not dt:
+        raise ConfigError(field, "the step it sizes rounds to 0.0")
     return max(0, math.floor(min((horizon - start) / dt + STEP_SLACK, 2.0**63)))
 
 
@@ -72,7 +74,10 @@ class FixedGrid(namedtuple("FixedGrid", "steps")):
         return super().__new__(cls, steps)
 
     def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
-        return (Stage(start=0.0, dt=control.horizon / self.steps, steps=self.steps),)
+        dt = control.horizon / self.steps
+        if not dt:
+            raise ConfigError("steps", "the step it sizes rounds to 0.0")
+        return (Stage(start=0.0, dt=dt, steps=self.steps),)
 
 
 class AdaptiveGrid(namedtuple("AdaptiveGrid", "first_stage_steps stage_steps")):
@@ -92,24 +97,32 @@ class AdaptiveGrid(namedtuple("AdaptiveGrid", "first_stage_steps stage_steps")):
         take the mass between the thresholds in ``stage_steps`` steps.
 
         Either stage stops early, on its last step that ends by the
-        horizon, so the run is bounded and no step ends past it.
+        horizon, so the run is bounded and no step ends past it.  A step
+        that rounds to 0 is a ConfigError on the field that sized it.
         """
         rate = analytic.mass_rate(control)
         climb_dt = control.upper / (rate * self.first_stage_steps)
-        climb_steps = min(self.first_stage_steps, _steps_to_horizon(0.0, climb_dt, control.horizon))
-        climb = Stage(start=0.0, dt=climb_dt, steps=climb_steps)
-        if climb_steps < self.first_stage_steps:
+        climb_steps = _steps_to_horizon(0.0, climb_dt, control.horizon, "first_stage_steps")
+        climb = Stage(start=0.0, dt=climb_dt, steps=min(self.first_stage_steps, climb_steps))
+        if climb.steps < self.first_stage_steps:
             return (climb,)
         span = control.upper - control.lower
         dt = span / (rate * self.stage_steps)
-        steps = _steps_to_horizon(climb.end, dt, control.horizon)
+        steps = _steps_to_horizon(climb.end, dt, control.horizon, "stage_steps")
         return (climb, Stage(start=climb.end, dt=dt, steps=steps))
 
 
 class RunConfig(namedtuple("RunConfig", "control grid quadrature mode snapshot_stride")):
     """Everything one simulation needs: a ``ControlConfig``, a ``GridSpec``,
     a ``QuadratureKind``, a ``FixedGrid`` or ``AdaptiveGrid`` and the
-    snapshot stride (0 = no snapshots)."""
+    snapshot stride (0 = no snapshots).
+
+    Building one is the one check that its time grid,
+    ``mode.stages(control)``, can run: a ConfigError on ``horizon`` if
+    more steps lie up to it than a machine index can count, on ``alpha``
+    if a stage that steps has a diffusion number that is not finite,
+    which no step matrix can be factored for, and from ``mode.stages``
+    if a step rounds to 0."""
 
     __slots__ = ()
 
@@ -119,9 +132,15 @@ class RunConfig(namedtuple("RunConfig", "control grid quadrature mode snapshot_s
             raise ConfigError("snapshot_stride", f"must be >= 0, got {snapshot_stride}")
         # Only the interior Riemann mass advances by exactly 2 * diffusivity
         # * dt per step, which lands the adaptive stage ends on the thresholds.
-        riemann = quadrature is QuadratureKind.RIEMANN_INTERIOR
-        if isinstance(mode, AdaptiveGrid) and not riemann:
+        if isinstance(mode, AdaptiveGrid) and quadrature is not QuadratureKind.RIEMANN_INTERIOR:
             raise ConfigError("quadrature", "adaptive grids require the interior Riemann quadrature")
+        stages = mode.stages(control)
+        if sum(stage.steps for stage in stages) > sys.maxsize:  # an adaptive grid up to a far horizon
+            raise ConfigError("horizon", "more time steps up to it than a machine index can count")
+        for _, dt, steps in stages:
+            nu = diffusion_number(grid, dt, control.diffusivity)
+            if steps and not math.isfinite(nu):
+                raise ConfigError("alpha", f"alpha * dt * J**2, the diffusion number of a step of {dt!r}, is {nu}")
         return super().__new__(cls, control, grid, quadrature, mode, snapshot_stride)
 
 
@@ -166,23 +185,9 @@ class ErrorReport(namedtuple("ErrorReport", "events max_abs_error mean_spacing")
     __slots__ = ()
 
 
-def schedule(config: RunConfig) -> tuple[Stage, ...]:
-    """The stages of the run's time grid: a ConfigError on ``horizon`` if
-    more steps lie up to it than a machine index can count, and on
-    ``alpha`` if a stage that steps has a diffusion number that is not
-    finite, which no step matrix can be factored for."""
-    stages = config.mode.stages(config.control)
-    if sum(stage.steps for stage in stages) > sys.maxsize:  # an adaptive schedule up to a far horizon
-        raise ConfigError("horizon", "more time steps up to it than a machine index can count")
-    for _, dt, steps in stages:
-        nu = diffusion_number(config.grid, dt, config.control.diffusivity)
-        if steps and not math.isfinite(nu):
-            raise ConfigError("alpha", f"alpha * dt * J**2, the diffusion number of a step of {dt!r}, is {nu}")
-    return stages
-
-
 def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
-    """Step from the zero field through every stage of the time grid.
+    """Step from the zero field through every stage of the time grid,
+    ``config.mode.stages(config.control)``, which ``RunConfig`` checked.
 
     Each stage with steps assembles its step matrix once.  Every field is
     mirror-symmetric, so the state is a plain list of U_0..U_h, h = J//2,
@@ -201,8 +206,8 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     With debug logging on, each switch is logged as it is appended: its
     index, time, mass and overshoot past the threshold it crossed.
     """
-    control, grid, quadrature, _, stride = config
-    stages = schedule(config)
+    control, grid, quadrature, mode, stride = config
+    stages = mode.stages(control)
     total = sum(stage.steps for stage in stages)
 
     values = [0.0] * (grid.cells // 2 + 1)  # U_0..U_h
@@ -246,42 +251,26 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
                     on_switch(events[-1])
 
     log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
-    return Trajectory(
-        times=times,
-        masses=masses,
-        fluxes=fluxes,
-        snapshots=tuple(snapshots),
-        events=tuple(events),
-    )
+    return Trajectory(times, masses, fluxes, tuple(snapshots), tuple(events))
 
 
-def event_pairer(control: ControlConfig, stages: tuple[Stage, ...]):
-    """``pair(index, time)``: the ``EventError`` of switch ``index``
-    detected at ``time`` on the time grid of ``stages``.
-
-    A switch is within bound when -STEP_SLACK * dt <= error < k * dt,
-    with dt the step that detected it.  A switch detected before its
+def pair_switch(index: int, time: float, control: ControlConfig, stages: tuple[Stage, ...]) -> EventError:
+    """The ``EventError`` of switch ``index`` detected at ``time`` on the
+    time grid of ``stages``, in whatever order switches are paired.  It
+    is within bound when -STEP_SLACK * dt <= error < k * dt, with dt the
+    step that detected it: that of the first stage ending at or after
+    ``time``, or of the last stage.  A switch detected before its
     closed-form time, including one whose closed-form time lies past the
     horizon, has a negative error and is reported out of bound.
-
-    Pair the switches in ascending time, as ``observe`` appends them, so
-    that one pass over the stages finds each switch's dt.
     """
-    stages = iter(stages)
-    stage = next(stages)
-
-    def pair(index: int, time: float) -> EventError:
-        nonlocal stage
-        # dt of the step that detected the switch; the last stage's past its end
-        while time > stage.end and (later := next(stages, None)) is not None:
-            stage = later
-        dt = stage.dt
-        oracle_time = analytic.switch_time(index, control)
-        bound = index * dt
-        error = time - oracle_time
-        return EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound)
-
-    return pair
+    for stage in stages:
+        if time <= stage.end:
+            break
+    dt = stage.dt
+    oracle_time = analytic.switch_time(index, control)
+    bound = index * dt
+    error = time - oracle_time
+    return EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound)
 
 
 def error_report(rows) -> ErrorReport:
@@ -294,7 +283,7 @@ def error_report(rows) -> ErrorReport:
 
 
 def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
-    """Pair each detected switch with its closed-form time (``event_pairer``)."""
+    """Pair each detected switch with its closed-form time (``pair_switch``)."""
     control = run_config.control
-    pair = event_pairer(control, run_config.mode.stages(control))
-    return error_report([pair(index, time) for index, time, _ in traj.events])
+    stages = run_config.mode.stages(control)
+    return error_report([pair_switch(index, time, control, stages) for index, time, _ in traj.events])

@@ -40,7 +40,6 @@ from massgate.runner import (
     Trajectory,
     compare_with_oracle,
     run,
-    schedule,
 )
 from massgate.stepper import step
 
@@ -270,12 +269,11 @@ def test_non_finite_diffusion_number_names_alpha(tmp_path, capsys, monkeypatch, 
 
 
 def assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, key):
-    """``run`` refuses the config's time grid with a ConfigError on ``key``,
-    and ``massgate run`` prints the one-line diagnostic before any output
-    is opened or helper forked."""
-    cfg = config_from_mapping(raw)
+    """Building the config refuses its time grid with a ConfigError on
+    ``key``, and ``massgate run`` prints the one-line diagnostic before
+    any output is opened or helper forked."""
     with pytest.raises(ConfigError) as excinfo:
-        run(cfg)
+        run(config_from_mapping(raw))
     assert excinfo.value.key == key
     use_cpus(monkeypatch, 2)
     forks = []
@@ -522,7 +520,7 @@ def test_cli_run_forks_one_helper_only_when_recording_snapshots(tmp_path, capsys
 
     monkeypatch.setattr(os, "fork", counting_fork)
     cases = [({**REFERENCE, "snapshot_stride": 1}, 1), ({**REFERENCE, "snapshot_stride": 0}, 0),
-             (ADAPTIVE, 0), ({**ADAPTIVE, "snapshot_stride": 2}, 1)]
+             (ADAPTIVE, 0), ({**ADAPTIVE, "snapshot_stride": 2}, 1), ({**REFERENCE, "snapshot_stride": 201}, 0)]
     for config, forks in cases:
         helpers.clear()
         out = tmp_path / "out"
@@ -652,7 +650,7 @@ def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, m
     records = array("d", [value for event in traj.events for value in (event.index, event.time)])
     for switches in (1, 2, 256, max(1, count)):
         files = io.BytesIO(), io.BytesIO()
-        add, finish = _open_switch_sink(run_config.control, schedule(run_config), 2, *files)
+        add, finish = _open_switch_sink(run_config.control, run_config.mode.stages(run_config.control), 2, *files)
         for i in range(0, len(records), 2 * switches):
             add(records[i:i + 2 * switches])
         finish()
@@ -743,6 +741,35 @@ def test_cli_oracle_rejects_horizon_with_too_many_switches(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("massgate: config error: horizon:")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_cli_oracle_refuses_an_adaptive_grid_that_run_refuses(tmp_path, capsys):
+    # 2 climb steps to t=2, then steps of 5e-19: more up to the horizon
+    # than a machine index can count, though the closed form has 9 rows
+    raw = {**ADAPTIVE, "alpha": 0.05, "horizon": 10, "J": 50, "N0": 2, "Nstage": 2 * 10**18}
+    for command in (["run", "--out", str(tmp_path / "out")], ["oracle"]):
+        assert main([*command, "--config", str(write_config(tmp_path, raw))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("massgate: config error: horizon:")
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_refuses_a_fixed_step_that_rounds_to_0_before_stepping(tmp_path, capsys, monkeypatch):
+    steps = []
+
+    def counted_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr("massgate.runner.step", counted_step)
+    config = {**REFERENCE, "horizon": 5e-324, "N": 1000}
+    assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: config error: N:")
+    assert len(err.strip().splitlines()) == 1
+    assert len(steps) == 0
 
 
 def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatch):

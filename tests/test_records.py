@@ -65,6 +65,23 @@ def test_records_are_immutable_and_carry_no_instance_dict(record):
                            mode=FixedGrid(200), snapshot_stride=-1), "snapshot_stride"),
         (lambda: RunConfig(control=CONTROL, grid=GridSpec(50), quadrature=QuadratureKind.TRAPEZOID,
                            mode=AdaptiveGrid(2, 2)), "quadrature"),
+        # time grids that cannot run: steps past a machine index, a
+        # diffusion number that overflows, and each step rounding to 0
+        pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 1.0, 1e300), grid=GridSpec(10),
+                                       quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(10, 5)),
+                     "horizon", id="grid-horizon"),
+        pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 1e300, 1e300), grid=GridSpec(50),
+                                       quadrature=QuadratureKind.TRAPEZOID, mode=FixedGrid(10**6)),
+                     "alpha", id="grid-alpha"),
+        pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 0.05, 5e-324), grid=GridSpec(50),
+                                       quadrature=QuadratureKind.TRAPEZOID, mode=FixedGrid(1000)),
+                     "steps", id="grid-steps"),
+        pytest.param(lambda: RunConfig(control=ControlConfig(5e-324, 1e-320, 1e10, 1e-12), grid=GridSpec(3),
+                                       quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(2, 1)),
+                     "first_stage_steps", id="grid-first_stage_steps"),
+        pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 1e300, 1.0), grid=GridSpec(3),
+                                       quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(1, 10**9)),
+                     "stage_steps", id="grid-stage_steps"),
     ],
 )
 def test_validating_records_raise_when_built_with_keywords(build, key):

@@ -5,6 +5,9 @@ The cases:
 
 * `run` on each config under tests/data/golden/;
 * `compare` on the reference golden config;
+* `oracle` on each golden config, whose standard output is hashed as
+  the file `stdout`;
+* `sweep --n-list 50,200,1000` on the reference golden config;
 * `run` on the four perfbench workloads at seeds 0-3, as
   `perfbench/run.py`'s `workload_config` builds them;
 * `run` on a seeded sample of 60 fixed and 60 adaptive configs, with J
@@ -68,11 +71,16 @@ def sample_config(rng: random.Random, mode: str) -> dict:
 
 
 def cases(root: Path):
-    """(name, command, config) for every case, in a fixed order."""
+    """(name, command, config) for every case, in a fixed order; the
+    command is the argument list before ``--config``."""
     golden = root / "tests" / "data" / "golden"
-    for path in sorted(golden.iterdir()):
-        yield f"golden-{path.name}", "run", json.loads((path / "config.json").read_text())
-    yield "compare-reference", "compare", json.loads((golden / "reference" / "config.json").read_text())
+    configs = {path.name: json.loads((path / "config.json").read_text()) for path in sorted(golden.iterdir())}
+    for name, config in configs.items():
+        yield f"golden-{name}", ["run"], config
+    yield "compare-reference", ["compare"], configs["reference"]
+    for name, config in configs.items():
+        yield f"oracle-{name}", ["oracle"], config
+    yield "sweep-reference", ["sweep", "--n-list", "50,200,1000"], configs["reference"]
 
     sys.path.insert(0, str(root / "perfbench"))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
@@ -80,12 +88,12 @@ def cases(root: Path):
     spec.loader.exec_module(bench)
     for name in bench.WORKLOADS:
         for seed in SEEDS:
-            yield f"{name}-seed{seed}", "run", bench.workload_config(name, seed)
+            yield f"{name}-seed{seed}", ["run"], bench.workload_config(name, seed)
 
     rng = random.Random(SAMPLE_SEED)
     for mode in ("fixed", "adaptive"):
         for i in range(SAMPLE_SIZE):
-            yield f"sample-{mode}-{i}", "run", sample_config(rng, mode)
+            yield f"sample-{mode}-{i}", ["run"], sample_config(rng, mode)
 
 
 def digests(out: Path):
@@ -105,8 +113,12 @@ def main(argv: list[str]) -> int:
             case.mkdir()
             config_path = case.with_suffix(".json")
             config_path.write_text(json.dumps(config))
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = massgate([command, "--config", str(config_path), "--out", str(case)])
+            stdout = io.StringIO()
+            out = [] if command == ["oracle"] else ["--out", str(case)]
+            with contextlib.redirect_stdout(stdout):
+                code = massgate([*command, "--config", str(config_path), *out])
+            if not out:  # oracle writes nothing but its standard output
+                (case / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
             print("\n".join(digests(case)) if code == 0 else f"exit {code}  {name}", flush=True)
             shutil.rmtree(case)
             config_path.unlink()
