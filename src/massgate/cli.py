@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from array import array
 from contextlib import ExitStack
 from functools import partial
+from operator import itemgetter
 from pathlib import Path
 
 from .analytic import ConfigError, ControlConfig, switch_count, switch_spacing, switch_time
@@ -45,8 +45,6 @@ from .runner import (
 )
 from .stepper import GridSpec
 
-log = logging.getLogger(__name__)
-
 # `oracle` rejects a horizon with more closed-form switches than this.
 MAX_ORACLE_ROWS = 1_000_000
 # Config key -> the record field it sets; inverted, it re-keys record errors.
@@ -60,9 +58,7 @@ _GRIDS = {"fixed": (FixedGrid, QuadratureKind.TRAPEZOID),
           "adaptive": (AdaptiveGrid, QuadratureKind.RIEMANN_INTERIOR)}
 
 
-def _require(
-    raw: dict, key: str, integer: bool = False, default: int | None = None
-) -> float | int:
+def _require(raw: dict, key: str, integer: bool = False, default: int | None = None) -> float | int:
     """raw[key], or ``default`` when absent and given; it must be an
     integer, or any number unless ``integer``."""
     if key not in raw and default is None:
@@ -147,6 +143,13 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
+def _info(message: str, *args) -> None:
+    """Log ``message % args`` at INFO, if ``logging`` is imported: ``main``
+    imports it only when a record can be shown."""
+    if logging := sys.modules.get("logging"):
+        logging.getLogger(__name__).info(message, *args)
+
+
 # Given a second usable CPU, a run with at least this many closed-form
 # switches up to its horizon pairs and writes them in a helper process
 # while it steps.  The sink costs the same in either process, about 7 us
@@ -217,34 +220,41 @@ def _switch_writer(switches, report):
     return write
 
 
-def _snapshot_formatter():
-    """``format_snapshot(values, time)``, which prints one snapshot as its
-    snapshots.csv rows with one ``%`` of a byte template that the first
-    call builds for its number of values, every node's x_j filled in.
+def _snapshot_formatter(cells: int):
+    """``format_snapshot(values, time)``, which prints one snapshot on a
+    grid of J = ``cells`` cells as its J + 1 snapshots.csv rows.
+    ``values`` is the whole field U_0..U_J, or its mirror half
+    U_0..U_{J//2}, told apart by length: node j prints value j of a whole
+    field, value min(j, J - j) of a half.  Each value is formatted once,
+    by one ``%`` of an ``%.10f`` template, and the rows are laid out by
+    one ``%`` of a byte template, every node's x_j filled in.
 
-    The rows are built at the first snapshot, not when the sink opens:
-    every run opens the snapshot sink, with width J + 2 even at stride 0,
-    and J may be close to ``sys.maxsize``.  Such a run must fail at once,
-    out of memory, when it allocates its field; building J + 1 rows at
-    open would hang it first."""
-    node_rows: list[bytes] = []
+    Templates and node map are built at the first snapshot, not when the
+    sink opens: every run opens it, even at stride 0, and J may be close
+    to ``sys.maxsize``.  Such a run must fail at once, out of memory,
+    when it allocates its field; building them at open would hang it."""
+    built: list = []
 
     def format_snapshot(values, time: float) -> bytes:
-        if not node_rows:
+        if not built:
             # one row per node: the snapshot time is joined in front of
             # each row, then x_j, then a slot for u_j
-            width = len(values)
-            node_rows.extend([b"", *(b",%.10f,%%.10f\n" % (j / (width - 1)) for j in range(width))])
-        return (b"%.10f" % time).join(node_rows) % tuple(values)
+            half = len(values) <= cells
+            built.extend([b",".join([b"%.10f"] * len(values)),
+                          itemgetter(*(min(j, cells - j) if half else j for j in range(cells + 1))),
+                          [b"", *(b",%.10f,%%s\n" % (j / cells) for j in range(cells + 1))]])
+        template, nodes, rows = built
+        return (b"%.10f" % time).join(rows) % nodes((template % tuple(values)).split(b","))
 
     return format_snapshot
 
 
-def _open_snapshot_sink(width: int, file):
-    """The sink of snapshots.csv (see ``StreamWriter``); a record is a
-    snapshot's values, then its time."""
+def _open_snapshot_sink(cells: int, width: int, file):
+    """The sink of snapshots.csv (see ``StreamWriter``) of a grid of
+    ``cells`` cells; a record is a snapshot's values, the whole field or
+    its mirror half (see ``_snapshot_formatter``), then its time."""
     file.write(b"time,x,u\n")
-    format_snapshot = _snapshot_formatter()
+    format_snapshot = _snapshot_formatter(cells)
 
     def add(batch) -> None:
         file.writelines(format_snapshot(batch[i:i + width - 1], batch[i + width - 1])
@@ -304,7 +314,7 @@ class StreamWriter:
         except OSError as exc:  # e.g. EMFILE or EAGAIN at a process limit
             for fd in pipe:
                 os.close(fd)
-            log.info("cannot fork a helper (%s); writing %s in-process", exc, self._names())
+            _info("cannot fork a helper (%s); writing %s in-process", exc, self._names())
             return 0
         read_end, write_end = pipe
         if not pid:
@@ -366,7 +376,7 @@ class StreamWriter:
         self.end()
         _, status, usage = os.wait4(self.pid, 0)
         cpu = usage.ru_utime + usage.ru_stime
-        log.info("helper %d wrote %s in %.3f s of CPU", self.pid, self._names(), cpu)
+        _info("helper %d wrote %s in %.3f s of CPU", self.pid, self._names(), cpu)
         code = os.waitstatus_to_exitcode(status)
         if 0 < code < 255:
             raise OSError(code, os.strerror(code))
@@ -376,9 +386,10 @@ class StreamWriter:
 
 def _create(stack: ExitStack, out: Path) -> list:
     """Make ``out`` and open its OUTPUTS for writing, in that order, on
-    ``stack``.  Beneath them goes the one callback that removes output
-    files: if the stack unwinds with an error, it unlinks every file
-    opened here, whatever failed and wherever."""
+    ``stack``, each buffered by _SNAPSHOT_CHUNK bytes, so that snapshot
+    rows of about 2 KB go out in fewer writes than by 8 KiB.  Beneath them
+    goes the one callback that removes output files: if the stack unwinds
+    with an error, it unlinks every file opened here, whatever failed."""
     out.mkdir(parents=True, exist_ok=True)
     files = []
 
@@ -389,7 +400,7 @@ def _create(stack: ExitStack, out: Path) -> list:
 
     stack.push(discard)
     for name in OUTPUTS:
-        files.append(stack.enter_context((out / name).open("wb")))
+        files.append(stack.enter_context((out / name).open("wb", buffering=_SNAPSHOT_CHUNK)))
     return files
 
 
@@ -419,20 +430,20 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     stack, mass_csv = streamed or (ExitStack(), None)
     with stack:
         if mass_csv is None:
-            width = len(traj.snapshots[0].values) if traj.snapshots else 0
-            if any(len(snap.values) != width for snap in traj.snapshots):
+            nodes = len(traj.snapshots[0].values) if traj.snapshots else 0
+            if any(len(snap.values) != nodes for snap in traj.snapshots):
                 raise ValueError("all snapshots must share one spatial grid")
-            if width == 1:
+            if nodes == 1:
                 raise ValueError("a snapshot needs at least two nodes, the grid's ends")
             switches, mass_csv, snapshots, entries = _create(stack, out)
-            add, _ = _open_snapshot_sink(width + 1, snapshots)
+            add, _ = _open_snapshot_sink(nodes - 1, nodes + 1, snapshots)
             for values, time in traj.snapshots:
                 add([*values, time])
             _switch_writer(switches, entries)(report.events, report)
         mass_csv.write(b"time,mass,flux\n")
         mass_csv.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
     written = [out / name for name in OUTPUTS]
-    log.info("wrote %s", ", ".join(str(p) for p in written))
+    _info("wrote %s", ", ".join(str(p) for p in written))
     return written
 
 
@@ -457,9 +468,10 @@ def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
     """Run and emit the four files.  All four are opened first, so an
     unwritable one fails before the first step.  snapshots.csv,
     switches.csv and report.json are written while the run steps, each
-    switch paired with its closed-form time as it comes.  Where a second
-    CPU allows, a helper process writes snapshots.csv when the run takes
-    a snapshot, and another writes switches.csv and report.json when at
+    switch paired with its closed-form time as it comes, and each
+    snapshot as the run's mirror half U_0..U_{J//2}.  Where a second CPU
+    allows, a helper process writes snapshots.csv when the run takes a
+    snapshot, and another writes switches.csv and report.json when at
     least STREAM_SWITCHES closed-form switches lie up to the horizon; the
     CLI process writes the rest.  A failed run or emit leaves none of the
     four files."""
@@ -468,8 +480,8 @@ def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
     stages = mode.stages(control)
     with ExitStack() as stack:
         switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
-        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink, grid.cells + 2, _SNAPSHOT_CHUNK,
-                                 0 < stride <= sum(stage.steps for stage in stages))
+        snapshots = StreamWriter([snapshots_csv], partial(_open_snapshot_sink, grid.cells), grid.cells // 2 + 2,
+                                 _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages))
         stack.callback(snapshots.close)
         switches = StreamWriter([switches_csv, report_json], partial(_open_switch_sink, control, stages), 2,
                                 _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
@@ -536,15 +548,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for run_config in run_configs:
         traj = run(run_config, lambda values, time: None)  # sweep writes no snapshots
         report = compare_with_oracle(traj, run_config)
-        rows.append(
-            {
-                "N": run_config.mode.steps,
-                "dt": run_config.mode.stages(run_config.control)[0].dt,
-                "events": len(report.events),
-                "max_abs_err": report.max_abs_error,
-                "all_within_bound": all(r.within_bound for r in report.events),
-            }
-        )
+        rows.append({"N": run_config.mode.steps, "dt": run_config.mode.stages(run_config.control)[0].dt,
+                     "events": len(report.events), "max_abs_err": report.max_abs_error,
+                     "all_within_bound": all(r.within_bound for r in report.events)})
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # after the last run, so a failed sweep leaves no directory
@@ -563,28 +569,20 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _log_level(name: str) -> int:
-    return {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        name.lower(), logging.ERROR
-    )
+    """The ``logging`` level that MASSGATE_LOG names: ERROR, INFO or DEBUG."""
+    return {"error": 40, "info": 20, "debug": 10}.get(name.lower(), 40)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="massgate",
-        description="Simulate 1D diffusion with threshold-switched boundary flux.",
-    )
+    parser = argparse.ArgumentParser(prog="massgate",
+                                     description="Simulate 1D diffusion with threshold-switched boundary flux.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_out: bool = True) -> None:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         if with_out:
             p.add_argument("--out", required=True, help="output directory")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="KEY=VALUE",
-            help="override a config key (repeatable)",
-        )
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key (repeatable)")
 
     p_run = sub.add_parser("run", help="run one experiment and emit its outputs")
     add_common(p_run)
@@ -607,12 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=_log_level(os.environ.get("MASSGATE_LOG", "error")),
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    level = _log_level(os.environ.get("MASSGATE_LOG", "error"))
+    # massgate logs only at INFO and DEBUG, so at ERROR no record can show
+    # and importing logging (about 10 ms) is skipped, unless it is already
+    # imported: then a handler set by an earlier call must be reset
+    if level < 40 or "logging" in sys.modules:
+        import logging
+        logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s", force=True)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -18,7 +18,6 @@ checks the per-switch error bound
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from array import array
@@ -30,8 +29,6 @@ from .analytic import ConfigError, ControlConfig
 from .controller import SwitchEvent, observe
 from .quadrature import QuadratureKind, _fsum, mass
 from .stepper import FluxSign, GridSpec, assemble, diffusion_number, step
-
-log = logging.getLogger(__name__)
 
 # What counts as reaching, as a fraction of one step: the relay's window
 # (of the step's mass increment), the oracle's slack below 0 <= error and
@@ -74,10 +71,7 @@ class FixedGrid(namedtuple("FixedGrid", "steps")):
         return super().__new__(cls, steps)
 
     def stages(self, control: ControlConfig) -> tuple[Stage, ...]:
-        dt = control.horizon / self.steps
-        if not dt:
-            raise ConfigError("steps", "the step it sizes rounds to 0.0")
-        return (Stage(start=0.0, dt=dt, steps=self.steps),)
+        return (Stage(0.0, control.horizon / self.steps, self.steps),)
 
 
 class AdaptiveGrid(namedtuple("AdaptiveGrid", "first_stage_steps stage_steps")):
@@ -119,10 +113,19 @@ class RunConfig(namedtuple("RunConfig", "control grid quadrature mode snapshot_s
 
     Building one is the one check that its time grid,
     ``mode.stages(control)``, can run: a ConfigError on ``horizon`` if
-    more steps lie up to it than a machine index can count, on ``alpha``
-    if a stage that steps has a diffusion number that is not finite,
-    which no step matrix can be factored for, and from ``mode.stages``
-    if a step rounds to 0."""
+    more steps lie up to it than a machine index can count; on the field
+    that sized a stage's dt if the stage steps but its times, start +
+    i * dt, might not strictly increase; and on ``alpha`` if a stage that
+    steps has a diffusion number that is not finite, which no step
+    matrix can be factored for.
+
+    Step i is stamped t_i = fl(start + fl(i * dt)), start >= 0: it and
+    fl(i * dt) lie in [0, E], E = ``stage.end``, where floats are at most
+    u = ulp(E) apart, so each rounding errs by at most u/2.  Thus
+    t_{i+1} - t_i >= dt - 2u and t_1 - start >= dt - u/2: dt > 2u
+    suffices.  From start = 0 only fl(i * dt) rounds, so dt > u does,
+    which any dt > 0 meets over fewer than 2**51 steps, more than a run
+    can allocate."""
 
     __slots__ = ()
 
@@ -137,7 +140,10 @@ class RunConfig(namedtuple("RunConfig", "control grid quadrature mode snapshot_s
         stages = mode.stages(control)
         if sum(stage.steps for stage in stages) > sys.maxsize:  # an adaptive grid up to a far horizon
             raise ConfigError("horizon", "more time steps up to it than a machine index can count")
-        for _, dt, steps in stages:
+        for field, stage in zip(mode._fields, stages):  # the mode's fields size its stages' dt in turn
+            start, dt, steps = stage
+            if steps and not dt > (2 * math.ulp(stage.end) if start else 0.0):
+                raise ConfigError(field, f"a step of {dt!r} cannot advance the clock past {start!r}")
             nu = diffusion_number(grid, dt, control.diffusivity)
             if steps and not math.isfinite(nu):
                 raise ConfigError("alpha", f"alpha * dt * J**2, the diffusion number of a step of {dt!r}, is {nu}")
@@ -199,12 +205,14 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     output.
 
     Every ``snapshot_stride`` steps, ``on_snapshot(values, time)`` gets
-    the whole field U_0..U_J, mirrored from the half; by default copies
-    are the returned ``snapshots``, empty when a sink is given.  Each
-    ``SwitchEvent`` goes to ``on_switch(event)``, if given, as soon as the
-    relay appends it; the returned ``events`` hold every one either way.
-    With debug logging on, each switch is logged as it is appended: its
-    index, time, mass and overshoot past the threshold it crossed.
+    the state U_0..U_h, a new list each step, which a sink may keep; by
+    default the whole fields U_0..U_J, mirrored from it, are the returned
+    ``snapshots``, empty when a sink is given.  Each ``SwitchEvent`` goes
+    to ``on_switch(event)``, if given, as soon as the relay appends it;
+    the returned ``events`` hold every one either way.  With debug
+    logging on, each switch is logged as it is appended: its index, time,
+    mass and overshoot past the threshold it crossed.  Nothing is logged
+    unless ``logging`` is imported (see ``cli.main``).
     """
     control, grid, quadrature, mode, stride = config
     stages = mode.stages(control)
@@ -219,9 +227,12 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     fluxes = array("b", [0]) * total
     snapshots: list[FieldState] = []
     if on_snapshot is None:
+        mirror = slice(grid.cells % 2 - 2, None, -1)  # U_{J-h-1}..U_0 of U_0..U_h
         def on_snapshot(values: list[float], time: float) -> None:
-            snapshots.append(FieldState(array("d", values), time))
-    debug = log.isEnabledFor(logging.DEBUG)  # checked once per run, not per step
+            snapshots.append(FieldState(array("d", values + values[mirror]), time))
+    logging = sys.modules.get("logging")
+    log = logging and logging.getLogger(__name__)
+    debug = log and log.isEnabledFor(logging.DEBUG)  # checked once per run, not per step
 
     n = 0
     for start, dt, steps in stages:
@@ -240,7 +251,7 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
             fluxes[n] = flux
             n += 1
             if stride and n % stride == 0:
-                on_snapshot(values + values[grid.cells % 2 - 2::-1], time)  # U_0..U_h, U_{J-h-1}..U_0
+                on_snapshot(values, time)
             last = flux
             flux = observe(events, mu, time, control, window)
             if flux is not last:  # a flip is an appended switch
@@ -250,7 +261,8 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
                 if on_switch is not None:
                     on_switch(events[-1])
 
-    log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
+    if log:
+        log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
     return Trajectory(times, masses, fluxes, tuple(snapshots), tuple(events))
 
 

@@ -24,6 +24,7 @@ from massgate.cli import (
     _log_level,
     _open_switch_sink,
     _run_and_emit,
+    StreamWriter,
     config_from_mapping,
     config_to_mapping,
     emit_outputs,
@@ -491,7 +492,7 @@ def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpu
 
 
 def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
-    def broken_formatter():
+    def broken_formatter(cells):
         def format_snapshot(values, time):
             raise RuntimeError("formatter broke")
         return format_snapshot
@@ -505,6 +506,25 @@ def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, 
     assert err.startswith("massgate: io error: ")
     assert str(out / "snapshots.csv") in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("cells", [2, 3, 50, 51])
+def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch, cells, cpus):
+    use_cpus(monkeypatch, cpus)
+    widths = {}
+
+    class RecordingWriter(StreamWriter):
+        def __init__(self, files, open_sink, width, chunk, stream):
+            widths[Path(files[0].name).name] = width
+            super().__init__(files, open_sink, width, chunk, stream)
+
+    monkeypatch.setattr("massgate.cli.StreamWriter", RecordingWriter)
+    mapping = {**REFERENCE, "J": cells, "N": 50, "snapshot_stride": 1}
+    _run_and_emit(config_from_mapping(mapping), tmp_path / "out")
+    assert widths == {"snapshots.csv": cells // 2 + 2, "switches.csv": 2}
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+    assert {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS} == expected
 
 
 def test_cli_run_forks_one_helper_only_when_recording_snapshots(tmp_path, capsys, monkeypatch):
@@ -772,6 +792,18 @@ def test_cli_run_refuses_a_fixed_step_that_rounds_to_0_before_stepping(tmp_path,
     assert len(steps) == 0
 
 
+def test_cli_refuses_an_adaptive_stage_whose_step_cannot_advance_its_clock(tmp_path, capsys):
+    # after 2 climb steps to t=2.0, steps of 1e-17, below half an ulp of 2.0
+    raw = {**ADAPTIVE, "alpha": 0.05, "horizon": 2.00000000000001, "J": 50, "N0": 2, "Nstage": 10**17}
+    for command in (["run", "--out", str(tmp_path / "out")], ["oracle"]):
+        assert main([*command, "--config", str(write_config(tmp_path, raw))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("massgate: config error: Nstage:")
+        assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_out_of_memory_is_a_one_line_diagnostic(tmp_path, capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("cannot allocate the per-step arrays")
@@ -926,7 +958,8 @@ def test_cli_import_skips_dataclasses_inspect_and_typing():
     script = """
 import sys
 import massgate.cli
-skipped = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures", "subprocess", "tempfile")
+skipped = ("dataclasses", "inspect", "typing", "multiprocessing", "concurrent.futures", "subprocess", "tempfile",
+           "logging")
 loaded = [name for name in skipped if name in sys.modules]
 assert not loaded, loaded
 """

@@ -99,6 +99,9 @@ CASES = {
         )),
         ErrorReport(events=EVENTS, max_abs_error=16.0, mean_spacing=0.1 * 3),
     ),
+    # whole fields that are not symmetric: each node prints its own value
+    "whole-field-J2": (trajectory((FieldState(array("d", [1.0, 2.0, 4.0]), 0.5),)), EMPTY),
+    "whole-field-J3": (trajectory((FieldState(array("d", [1.0, 2.0, 4.0, 8.0]), 0.5),)), EMPTY),
     "no-events-no-snapshots": (trajectory(()), EMPTY),
     "empty": (Trajectory(times=array("d"), masses=array("d"), fluxes=array("b"), snapshots=(), events=()), EMPTY),
 }

@@ -66,7 +66,8 @@ def test_records_are_immutable_and_carry_no_instance_dict(record):
         (lambda: RunConfig(control=CONTROL, grid=GridSpec(50), quadrature=QuadratureKind.TRAPEZOID,
                            mode=AdaptiveGrid(2, 2)), "quadrature"),
         # time grids that cannot run: steps past a machine index, a
-        # diffusion number that overflows, and each step rounding to 0
+        # diffusion number that overflows, each step rounding to 0, and a
+        # stage whose steps cannot advance its clock
         pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 1.0, 1e300), grid=GridSpec(10),
                                        quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(10, 5)),
                      "horizon", id="grid-horizon"),
@@ -82,6 +83,9 @@ def test_records_are_immutable_and_carry_no_instance_dict(record):
         pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 1e300, 1.0), grid=GridSpec(3),
                                        quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(1, 10**9)),
                      "stage_steps", id="grid-stage_steps"),
+        pytest.param(lambda: RunConfig(control=ControlConfig(0.1, 0.2, 0.05, 2.00000000000001), grid=GridSpec(50),
+                                       quadrature=QuadratureKind.RIEMANN_INTERIOR, mode=AdaptiveGrid(2, 10**17)),
+                     "stage_steps", id="grid-stage_steps-clock"),
     ],
 )
 def test_validating_records_raise_when_built_with_keywords(build, key):

@@ -345,6 +345,22 @@ def test_every_snapshot_is_its_own_mirror_bit_for_bit(case, cells):
         assert snapshot.values.tobytes() == array("d", reversed(snapshot.values)).tobytes(), snapshot.time
 
 
+@pytest.mark.parametrize("cells", [2, 3, 50, 51])
+def test_on_snapshot_gets_the_mirror_half_and_the_default_sink_the_whole_field(cells):
+    cfg = config_from_mapping({"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 10, "J": cells, "N": 200,
+                               "snapshot_stride": 7})
+    halves = []
+    run(cfg, on_snapshot=lambda values, time: halves.append((values, time)))
+    traj = run(cfg)
+    assert len(halves) == len(traj.snapshots) == 28
+    assert len({id(values) for values, _ in halves}) == len(halves)  # a new list each time, safe to keep
+    for (half, time), snapshot in zip(halves, traj.snapshots):
+        assert len(half) == cells // 2 + 1
+        assert len(snapshot.values) == cells + 1
+        assert snapshot.time == time
+        assert snapshot.values.tobytes() == array("d", half + half[::-1][1 - cells % 2:]).tobytes()
+
+
 def test_runs_are_deterministic():
     cfg = reference_config(QuadratureKind.TRAPEZOID, stride=7)
     first = run(cfg)

@@ -8,6 +8,9 @@ The cases:
 * `oracle` on each golden config, whose standard output is hashed as
   the file `stdout`;
 * `sweep --n-list 50,200,1000` on the reference golden config;
+* `run` on the reference golden config with N=50 and a snapshot at
+  every step, once for each J in `JS`, so that every parity and size of
+  the mirrored snapshot rows is hashed;
 * `run` on the four perfbench workloads at seeds 0-3, as
   `perfbench/run.py`'s `workload_config` builds them;
 * `run` on a seeded sample of 60 fixed and 60 adaptive configs, with J
@@ -81,6 +84,8 @@ def cases(root: Path):
     for name, config in configs.items():
         yield f"oracle-{name}", ["oracle"], config
     yield "sweep-reference", ["sweep", "--n-list", "50,200,1000"], configs["reference"]
+    for cells in JS:
+        yield f"snapshots-J{cells}", ["run"], {**configs["reference"], "J": cells, "N": 50, "snapshot_stride": 1}
 
     sys.path.insert(0, str(root / "perfbench"))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
