@@ -147,7 +147,7 @@ def _info(message: str, *args) -> None:
     """Log ``message % args`` at INFO, if ``logging`` is imported: ``main``
     imports it only when a record can be shown."""
     if logging := sys.modules.get("logging"):
-        logging.getLogger(__name__).info(message, *args)
+        logging.getLogger("massgate.cli").info(message, *args)
 
 
 # Given a second usable CPU, a run with at least this many closed-form
@@ -220,44 +220,36 @@ def _switch_writer(switches, report):
     return write
 
 
-def _snapshot_formatter(cells: int):
-    """``format_snapshot(values, time)``, which prints one snapshot on a
-    grid of J = ``cells`` cells as its J + 1 snapshots.csv rows.
-    ``values`` is the whole field U_0..U_J, or its mirror half
-    U_0..U_{J//2}, told apart by length: node j prints value j of a whole
-    field, value min(j, J - j) of a half.  Each value is formatted once,
-    by one ``%`` of an ``%.10f`` template, and the rows are laid out by
-    one ``%`` of a byte template, every node's x_j filled in.
+def _open_snapshot_sink(cells: int, width: int, file):
+    """The sink of snapshots.csv (see ``StreamWriter``) of a grid of J =
+    ``cells`` cells, the one printer of its rows.  A record is a
+    snapshot's width - 1 values, then its time: the whole field U_0..U_J,
+    or, when those are at most J, its mirror half U_0..U_{J//2}, whose
+    node j prints value min(j, J - j).  Each value is formatted once, by
+    one ``%`` of an ``%.10f`` template, and a snapshot's J + 1 rows are
+    laid out by one ``%`` of a byte template, every x_j filled in.
 
-    Templates and node map are built at the first snapshot, not when the
-    sink opens: every run opens it, even at stride 0, and J may be close
-    to ``sys.maxsize``.  Such a run must fail at once, out of memory,
-    when it allocates its field; building them at open would hang it."""
-    built: list = []
+    Templates and node map are built on the first non-empty batch: every
+    run opens the sink, and at stride 0 an in-process writer still adds
+    an empty batch when it closes, while J may be close to
+    ``sys.maxsize``.  Such a run must fail at once, out of memory, when
+    it allocates its field; building them earlier would hang it."""
+    file.write(b"time,x,u\n")
+    count = width - 1
+    half, built = count <= cells, []
 
-    def format_snapshot(values, time: float) -> bytes:
+    def add(batch) -> None:
+        if not batch:
+            return
         if not built:
             # one row per node: the snapshot time is joined in front of
             # each row, then x_j, then a slot for u_j
-            half = len(values) <= cells
-            built.extend([b",".join([b"%.10f"] * len(values)),
+            built.extend([b",".join([b"%.10f"] * count),
                           itemgetter(*(min(j, cells - j) if half else j for j in range(cells + 1))),
                           [b"", *(b",%.10f,%%s\n" % (j / cells) for j in range(cells + 1))]])
         template, nodes, rows = built
-        return (b"%.10f" % time).join(rows) % nodes((template % tuple(values)).split(b","))
-
-    return format_snapshot
-
-
-def _open_snapshot_sink(cells: int, width: int, file):
-    """The sink of snapshots.csv (see ``StreamWriter``) of a grid of
-    ``cells`` cells; a record is a snapshot's values, the whole field or
-    its mirror half (see ``_snapshot_formatter``), then its time."""
-    file.write(b"time,x,u\n")
-    format_snapshot = _snapshot_formatter(cells)
-
-    def add(batch) -> None:
-        file.writelines(format_snapshot(batch[i:i + width - 1], batch[i + width - 1])
+        file.writelines((b"%.10f" % batch[i + count]).join(rows)
+                        % nodes((template % tuple(batch[i:i + count])).split(b","))
                         for i in range(0, len(batch), width))
 
     return add, lambda: None

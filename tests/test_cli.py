@@ -491,14 +491,23 @@ def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpu
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
 
-def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
-    def broken_formatter(cells):
-        def format_snapshot(values, time):
-            raise RuntimeError("formatter broke")
-        return format_snapshot
+def broken_snapshot_sink(marker):
+    """A stand-in for ``_open_snapshot_sink`` whose ``add`` touches
+    ``marker`` on its first non-empty batch, then raises: a helper is a
+    fork, so the marker shows that the printer itself failed."""
+    def open_sink(cells, width, file):
+        def add(batch):
+            if len(batch):
+                marker.touch()
+                raise RuntimeError("printer broke")
+        return add, lambda: None
+    return open_sink
 
+
+def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
+    marker = tmp_path / "printed"
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("massgate.cli._snapshot_formatter", broken_formatter)
+    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_snapshot_sink(marker))
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
@@ -506,6 +515,35 @@ def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, 
     assert err.startswith("massgate: io error: ")
     assert str(out / "snapshots.csv") in err
     assert len(err.strip().splitlines()) == 1
+    assert marker.exists()
+
+
+def test_cli_helper_dying_mid_run_is_one_io_error_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    # 2000 snapshots of 27 floats fill 6 chunks of 303 and part of a 7th:
+    # the run writes to the pipe after the helper died on the first, and
+    # so does end()
+    marker, raised = tmp_path / "printed", []
+
+    def trace(frame, event, arg):  # the exceptions raised in StreamWriter.end, caught or not
+        if event == "exception":
+            raised.append(arg[0])
+        return trace if frame.f_code is StreamWriter.end.__code__ else None
+
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_snapshot_sink(marker))
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, {**REFERENCE, "N": 2000, "snapshot_stride": 1})
+    sys.settrace(trace)
+    try:
+        code = main(["run", "--config", str(config_path), "--out", str(out)])
+    finally:
+        sys.settrace(None)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"massgate: io error: {out / 'snapshots.csv'}: the helper writing it exited with status 255\n"
+    assert marker.exists()
+    assert list(out.iterdir()) == []
+    assert set(raised) == {BrokenPipeError}  # swallowed: the helper's status is what is reported
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -648,6 +686,18 @@ def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
     assert len(lines) == 2
     assert re.fullmatch(rf"helper \d+ wrote \S+/switches\.csv, \S+/report\.json {cpu}", lines[0])
     assert re.fullmatch(rf"helper \d+ wrote \S+/snapshots\.csv {cpu}", lines[1])
+
+
+def test_cli_module_logs_under_massgate_names(tmp_path):
+    # run as a module, the CLI is __main__, which must not name its records
+    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
+    src = str(Path(massgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MASSGATE_LOG": "info"}
+    result = subprocess.run([sys.executable, "-m", "massgate.cli", "run", "--config", str(config_path),
+                             "--out", str(tmp_path / "out")], env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    names = [line.split()[1] for line in result.stderr.splitlines() if line.startswith("INFO ")]
+    assert names and all(name.startswith("massgate.") for name in names), result.stderr
 
 
 @pytest.mark.parametrize(

@@ -90,6 +90,12 @@ def test_field_length_validation():
         mass([0.0] * 4, grid, QuadratureKind.TRAPEZOID)
 
 
+def test_unknown_quadrature_kind_is_refused():
+    # a kind's name is not a kind
+    with pytest.raises(ValueError, match="unknown quadrature kind: 'riemann'"):
+        mass([0.0] * 5, make_grid(4), "riemann")
+
+
 def bits(*values: float) -> list[int]:
     return np.array(values, dtype=float).view(np.int64).tolist()
 
