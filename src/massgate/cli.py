@@ -26,7 +26,6 @@ import os
 import sys
 from array import array
 from contextlib import ExitStack
-from functools import partial
 from operator import itemgetter
 from pathlib import Path
 
@@ -137,10 +136,6 @@ def config_to_mapping(run_config: RunConfig) -> dict:
               "quadrature": quadrature.value,
               "mode": next(name for name, (record, _) in _GRIDS.items() if isinstance(mode, record))}
     return {key: fields[field] for key, field in _FIELDS.items() if field in fields}
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.10f}"
 
 
 def _info(message: str, *args) -> None:
@@ -274,30 +269,30 @@ class StreamWriter:
     """Output files of one run, written one record of ``width`` floats at
     a time while the run steps.
 
-    ``open_sink(width, *files)`` writes the headers of ``files``, open
-    binary files, and returns ``(add, finish)``: ``add(batch)`` writes a
-    flat sequence of whole records, and ``finish()`` what follows the
-    last one.  ``add(record)`` takes a list of floats into an
-    ``array('d')`` and passes on the whole records that fit in ``chunk``
-    bytes at once.  With ``stream`` and a second usable CPU, a forked
-    helper process owns the files: the chunks are piped to it as float64,
-    and it writes them as they come, then closes them.  Otherwise, or
-    when the fork fails, the chunks go to the sink in-process, and the
-    caller closes the files.  Close writers that stream at once last
-    created first, since a helper holds the pipes of the writers created
-    before it.
+    ``sink`` is the ``(add, finish)`` the caller opened on ``files``, open
+    binary files, whose headers it wrote; they are flushed here, before
+    any fork.  ``add(batch)`` writes a flat sequence of whole records, and
+    ``finish()`` what follows the last one.  ``add(record)`` takes a list
+    of floats into an ``array('d')`` and passes on the whole records that
+    fit in ``chunk`` bytes at once.  With ``stream`` and a second usable
+    CPU, a forked helper process inherits the sink and the files: the
+    chunks are piped to it as float64, and it writes them as they come,
+    then closes the files.  Otherwise, or when the fork fails, the chunks
+    go to the sink in-process, and the caller closes the files.  Close
+    writers that stream at once last created first, since a helper holds
+    the pipes of the writers created before it.
     """
 
-    def __init__(self, files: list, open_sink, width: int, chunk: int, stream: bool) -> None:
-        self.files = files
+    def __init__(self, files: list, sink: tuple, width: int, chunk: int, stream: bool) -> None:
+        self.files, (self.write, self.finish) = files, sink
         self.records, self.batch = array("d"), width * max(1, chunk // (8 * width))
+        for file in files:
+            file.flush()
         self.pid = 0
         if stream and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            self.pid = self._fork(open_sink, width)
-        if not self.pid:
-            self.write, self.finish = open_sink(width, *files)
+            self.pid = self._fork()
 
-    def _fork(self, open_sink, width: int) -> int:
+    def _fork(self) -> int:
         """Fork the helper and return its pid, or 0 if the fork failed."""
         pipe = ()
         try:
@@ -311,25 +306,24 @@ class StreamWriter:
         read_end, write_end = pipe
         if not pid:
             os.close(write_end)  # else the pipe would never close
-            self._serve(read_end, open_sink, width)
+            self._serve(read_end)
         os.close(read_end)
-        for file in self.files:  # the helper's now; nothing was written to them here
+        for file in self.files:  # the helper's now; their buffers are empty here
             file.close()
         self.pipe = open(write_end, "wb", buffering=8 * self.batch)
         self.write = self.pipe.write
         return pid
 
-    def _serve(self, pipe: int, open_sink, width: int) -> None:
-        """The helper process: write the records from the pipe, read a
-        chunk at a time, and close its own files, none of the others it
+    def _serve(self, pipe: int) -> None:
+        """The helper process: pass the records from the pipe, a chunk at a
+        time, to the sink, and close its own files, none of the others it
         inherited.  Exits 0, an OSError's errno, or 255 otherwise."""
         code = 255
         try:
             with open(pipe, "rb") as records:
-                add, finish = open_sink(width, *self.files)
                 while data := records.read(8 * self.batch):
-                    add(array("d", data).tolist())
-                finish()
+                    self.write(array("d", data).tolist())
+                self.finish()
             for file in self.files:
                 file.close()
             code = 0
@@ -376,23 +370,28 @@ class StreamWriter:
             raise OSError(f"{self._names()}: the helper writing it exited with status {code}")
 
 
-def _create(stack: ExitStack, out: Path) -> list:
-    """Make ``out`` and open its OUTPUTS for writing, in that order, on
-    ``stack``, each buffered by _SNAPSHOT_CHUNK bytes, so that snapshot
-    rows of about 2 KB go out in fewer writes than by 8 KiB.  Beneath them
-    goes the one callback that removes output files: if the stack unwinds
-    with an error, it unlinks every file opened here, whatever failed."""
-    out.mkdir(parents=True, exist_ok=True)
-    files = []
-
+def _discard(paths: list):
+    """An ``ExitStack`` exit callback: on an error, unlink ``paths`` and return None, so the error goes on."""
     def discard(kind, value, traceback) -> None:
         if kind is not None:
-            for file in files:
-                Path(file.name).unlink(missing_ok=True)
+            for path in paths:
+                path.unlink(missing_ok=True)
 
-    stack.push(discard)
-    for name in OUTPUTS:
-        files.append(stack.enter_context((out / name).open("wb", buffering=_SNAPSHOT_CHUNK)))
+    return discard
+
+
+def _create(stack: ExitStack, out: Path, names: tuple[str, ...] = OUTPUTS) -> list:
+    """Make ``out`` and open its files ``names`` (a run's, sweep's or
+    compare's) for writing, in that order, on ``stack``, each buffered by
+    _SNAPSHOT_CHUNK bytes, so that snapshot rows of about 2 KB go out in
+    fewer writes than by 8 KiB.  Beneath them goes a ``_discard`` of them:
+    if the stack unwinds with an error, every file opened here goes."""
+    out.mkdir(parents=True, exist_ok=True)
+    paths, files = [], []
+    stack.push(_discard(paths))
+    for path in (out / name for name in names):
+        files.append(stack.enter_context(path.open("wb", buffering=_SNAPSHOT_CHUNK)))
+        paths.append(path)
     return files
 
 
@@ -457,26 +456,28 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
-    """Run and emit the four files.  All four are opened first, so an
-    unwritable one fails before the first step.  snapshots.csv,
-    switches.csv and report.json are written while the run steps, each
-    switch paired with its closed-form time as it comes, and each
-    snapshot as the run's mirror half U_0..U_{J//2}.  Where a second CPU
-    allows, a helper process writes snapshots.csv when the run takes a
-    snapshot, and another writes switches.csv and report.json when at
-    least STREAM_SWITCHES closed-form switches lie up to the horizon; the
-    CLI process writes the rest.  A failed run or emit leaves none of the
+    """Run and emit the four files.  All four are opened, and the headers
+    of all but mass.csv written, first, so an unwritable one fails before
+    the first step.  Those three are written by their sinks while the run
+    steps, each switch paired with its closed-form time as it comes, and
+    each snapshot as the run's mirror half U_0..U_{J//2}.  Where a second
+    CPU allows, a helper process takes the snapshot sink when the run
+    takes a snapshot, and another the switch sink when at least
+    STREAM_SWITCHES closed-form switches lie up to the horizon; the CLI
+    process writes the rest.  A failed run or emit leaves none of the
     four files."""
     out = Path(out)
     control, grid, _, mode, stride = run_config
     stages = mode.stages(control)
     with ExitStack() as stack:
         switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
-        snapshots = StreamWriter([snapshots_csv], partial(_open_snapshot_sink, grid.cells), grid.cells // 2 + 2,
+        width = grid.cells // 2 + 2
+        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink(grid.cells, width, snapshots_csv), width,
                                  _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages))
         stack.callback(snapshots.close)
-        switches = StreamWriter([switches_csv, report_json], partial(_open_switch_sink, control, stages), 2,
-                                _SWITCH_CHUNK, switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
+        files = [switches_csv, report_json]
+        switches = StreamWriter(files, _open_switch_sink(control, stages, 2, *files), 2, _SWITCH_CHUNK,
+                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
         stack.callback(switches.close)  # closed first: its helper holds the snapshot pipe
         traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
                    lambda event: switches.add([event.index, event.time]))
@@ -498,10 +499,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     count = switch_count(control, MAX_ORACLE_ROWS)
     if count > MAX_ORACLE_ROWS:
         raise ConfigError("horizon", f"more than {MAX_ORACLE_ROWS} closed-form switches up to it")
-    print(f"switch spacing: {_fmt(switch_spacing(control))}")
+    print(f"switch spacing: {switch_spacing(control):.10f}")
     print("k,t_k")
     for k in range(1, count + 1):
-        print(f"{k},{_fmt(switch_time(k, control))}")
+        print(f"{k},{switch_time(k, control):.10f}")
     return 0
 
 
@@ -512,14 +513,18 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     out = Path(args.out)
     control, grid, _, mode, stride = run_config
     reports = []
-    for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
-        # a new RunConfig, not _replace, so that the variant is validated
-        variant = RunConfig(control, grid, kind, mode, stride)
-        _run_and_emit(variant, out / kind.value)
-        # each report.json, less its final newline, two spaces in under its key
-        text = (out / kind.value / "report.json").read_bytes()[:-1].replace(b"\n", b"\n  ")
-        reports.append(b'  "%s": %s' % (kind.value.encode(), text))
-    (out / "compare.json").write_bytes(b"{\n%s\n}\n" % b",\n".join(reports))
+    with ExitStack() as stack:  # compare.json first, so an unwritable one fails before the runs
+        (compare_json,) = _create(stack, out, ("compare.json",))
+        for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
+            # a new RunConfig, not _replace, so that the variant is validated
+            variant = RunConfig(control, grid, kind, mode, stride)
+            _run_and_emit(variant, out / kind.value)
+            stack.push(_discard([out / kind.value / name for name in OUTPUTS]))
+            # each report.json, less its final newline, two spaces in under its key
+            text = (out / kind.value / "report.json").read_bytes()[:-1].replace(b"\n", b"\n  ")
+            reports.append(b'  "%s": %s' % (kind.value.encode(), text))
+        compare_json.write(b"{\n%s\n}\n" % b",\n".join(reports))
+        compare_json.flush()  # a full disk fails here, where the runs' files are still removed
     print(f"side-by-side reports in {out}")
     return 0
 
@@ -545,17 +550,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                      "all_within_bound": all(r.within_bound for r in report.events)})
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)  # after the last run, so a failed sweep leaves no directory
-    path = out / "sweep.csv"
-    with path.open("w", encoding="utf-8") as f:
-        f.write("N,dt,events,max_abs_err,all_within_bound\n")
-        for row in rows:
-            err = "" if row["max_abs_err"] is None else _fmt(row["max_abs_err"])
-            within = "true" if row["all_within_bound"] else "false"
-            f.write(f"{row['N']},{row['dt']},{row['events']},{err},{within}\n")
-    with (out / "sweep.json").open("w", encoding="utf-8") as f:
-        json.dump(rows, f, indent=2)
-        f.write("\n")
+    with ExitStack() as stack:  # after the last run, so a failed sweep leaves no directory
+        sweep_csv, sweep_json = _create(stack, out, ("sweep.csv", "sweep.json"))
+        sweep_csv.write(b"N,dt,events,max_abs_err,all_within_bound\n")
+        sweep_csv.writelines(b"%d,%r,%d,%s,%s\n" % (
+            row["N"], row["dt"], row["events"], b"" if row["max_abs_err"] is None else b"%.10f" % row["max_abs_err"],
+            b"true" if row["all_within_bound"] else b"false") for row in rows)
+        sweep_json.write(json.dumps(rows, indent=2).encode() + b"\n")
     print(f"sweep over N={step_counts} written to {out}")
     return 0
 

@@ -3,7 +3,13 @@ as a schedule of stages, each ``steps`` steps of one dt.
 
 Fixed grid: one stage of dt = horizon/steps; crossings land on the grid.
 With the interior-Riemann mass the k-th lags its closed-form time by
-less than (2k - 1) * dt.
+less than (2k - 1) * dt.  Each step adds +-q, q = 2 * alpha * dt, to it,
+and the relay flips on the first step within w = STEP_SLACK * q of a
+threshold, so switch k falls on step c_up + (k - 1)(c_up - c_lo), with
+c_up = ceil((M - w)/q) and c_lo = floor((m + w)/q).  Then c_up*q - M
+lies in [-w, q) and (c_up - c_lo)*q - (M - m) in [-2w, 2q), and as
+t_k = (M + (k - 1)(M - m)) * dt/q, the lag is dt/q times the first plus
+k - 1 times the second: it lies in [-(2k - 1) * STEP_SLACK, 2k - 1) * dt.
 
 Adaptive grid: the first stage uses dt sized so the interior-Riemann mass
 lands exactly on the upper threshold after ``first_stage_steps`` steps,

@@ -82,6 +82,19 @@ def count_forks(monkeypatch):
     return helpers
 
 
+def count_steps(monkeypatch):
+    """Patch the runner's step to record each call; returns the list."""
+    steps = []
+    step = massgate.runner.step
+
+    def counted_step(*args):
+        steps.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(massgate.runner, "step", counted_step)
+    return steps
+
+
 def fail_fork(monkeypatch):
     """Make os.fork fail as it does at the process limit."""
     def no_fork():
@@ -677,6 +690,31 @@ def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsy
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
 
+# A switch every 2 steps, 48 steps up to the horizon, below STREAM_SWITCHES.
+SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 50, "mode": "adaptive", "N0": 2,
+                        "Nstage": 2}
+
+
+@pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1)])
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, cpus, fork_fails,
+                                                                  blocked, stride):
+    # the CLI process writes and flushes every streamed header before it
+    # forks a helper or steps
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    steps = count_steps(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / blocked).symlink_to("/dev/full")
+    config_path = write_config(tmp_path, {**SHORT_DENSE_ADAPTIVE, "snapshot_stride": stride})
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
+    assert steps == []
+    assert list(out.iterdir()) == []
+
+
 def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
     use_cpus(monkeypatch, 2)
     caplog.set_level(logging.INFO, logger="massgate.cli")
@@ -1111,6 +1149,51 @@ def test_cli_sweep_whose_run_fails_leaves_no_directory(tmp_path, capsys):
     assert main(["sweep", "--config", str(write_config(tmp_path, config)), "--n-list", "2", "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("massgate: config error: mass samples must be finite")
     assert not out.exists()
+
+
+def test_cli_sweep_with_an_unwritable_sweep_json_leaves_no_sweep_csv(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    (out / "sweep.json").mkdir(parents=True)
+    config_path = write_config(tmp_path, {**REFERENCE, "quadrature": "riemann"})
+    assert main(["sweep", "--config", str(config_path), "--n-list", "50,200", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert [path.name for path in out.iterdir()] == ["sweep.json"]
+
+
+def files_under(out):
+    """Every path under ``out`` that is not a directory, symlinks included."""
+    return [path for path in out.rglob("*") if path.is_symlink() or not path.is_dir()]
+
+
+def test_cli_compare_with_an_unwritable_compare_json_fails_before_its_runs(tmp_path, capsys, monkeypatch):
+    steps = count_steps(monkeypatch)
+    out = tmp_path / "cmp"
+    (out / "compare.json").mkdir(parents=True)
+    assert main(["compare", "--config", str(write_config(tmp_path, REFERENCE)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert steps == []
+    assert files_under(out) == []
+
+
+@pytest.mark.parametrize("blocked", ["trapezoid/report.json", "compare.json"])
+def test_cli_failed_compare_leaves_none_of_its_files(tmp_path, capsys, blocked):
+    # a directory fails the second run as it opens its files; /dev/full
+    # fails compare.json after both runs
+    out = tmp_path / "cmp"
+    if blocked == "compare.json":
+        out.mkdir()
+        (out / blocked).symlink_to("/dev/full")
+    else:
+        (out / blocked).mkdir(parents=True)
+    assert main(["compare", "--config", str(write_config(tmp_path, REFERENCE)), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("massgate: io error: ")
+    assert len(err.strip().splitlines()) == 1
+    assert files_under(out) == []
 
 
 def test_log_level_mapping():

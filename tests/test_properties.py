@@ -6,7 +6,9 @@ of a step matrix is finite and at least 1; every config that validation accepts 
 to completion or ends in the one-line diagnostic, and survives a round
 trip through its mapping; any mapping at all either builds a config or
 raises ConfigError; fixed Riemann runs keep the scheme's per-step mass
-identity and detect switch k less than (2k - 1) steps late; and one step
+identity and detect switch k less than (2k - 1) steps late; every
+interior-Riemann switch falls on the step that exact sums of the mass
+increment put it on; and one step
 matches a dense solve of the same backward-implicit system on small
 grids, and, stepped as the half of a mirror-symmetric field through the
 mirror fold, an exact solve up to a diffusion number of 1e14; and the
@@ -17,6 +19,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import tempfile
 import warnings
 from fractions import Fraction
@@ -267,6 +270,47 @@ def test_fixed_riemann_switch_k_lags_less_than_2k_minus_1_steps(alpha, upper, ra
     for ev in run(cfg).events:
         lag = ev.time - switch_time(ev.index, cfg.control)
         assert -STEP_SLACK * dt <= lag < (2 * ev.index - 1) * dt
+
+
+def interior_riemann_sample(seed: int, size: int):
+    """``size`` fixed and ``size`` adaptive interior-Riemann configs drawn
+    from ``random.Random(seed)``, up to 0 to 8 spacings past switch 1."""
+    rng = random.Random(seed)
+    for adaptive in (False, True):
+        for _ in range(size):
+            upper = 10 ** rng.uniform(-2, 1)
+            lower = upper * rng.uniform(0.1, 0.9)
+            alpha = 10 ** rng.uniform(-3, 1)
+            probe = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=1.0)
+            horizon = switch_time(1, probe) + rng.uniform(0, 8) * switch_spacing(probe)
+            cells = rng.choice((2, 3, 7, 50))
+            mode = AdaptiveGrid(rng.randint(1, 6), rng.randint(1, 6)) if adaptive else FixedGrid(rng.randint(50, 1000))
+            yield RunConfig(probe._replace(horizon=horizon), GridSpec(cells), QuadratureKind.RIEMANN_INTERIOR, mode)
+
+
+def test_interior_riemann_switches_fall_on_their_discrete_steps():
+    # Each step adds s * q, q = 2*alpha*dt, to the interior mass (the
+    # mass identity, tested below), and the relay flips on the first step within
+    # its window w of the threshold.  From zero mass, switch 1 falls on
+    # step c_up = ceil((M - w)/q) and the lower crossings on mass c_lo * q,
+    # c_lo = floor((m + w)/q), so switch k on c_up + (k - 1)(c_up - c_lo).
+    # An adaptive grid lands on a threshold every N0, then Nstage, steps.
+    mismatches = []
+    for cfg in interior_riemann_sample(seed=0, size=60):
+        traj = run(cfg)
+        found = [traj.times.index(event.time) + 1 for event in traj.events]
+        if isinstance(cfg.mode, AdaptiveGrid):
+            first, period = cfg.mode
+        else:
+            dt = cfg.mode.stages(cfg.control)[0].dt
+            rate = 2.0 * cfg.control.diffusivity
+            q, w = Fraction(rate) * Fraction(dt), Fraction(STEP_SLACK * rate * dt)
+            up = math.ceil((Fraction(cfg.control.upper) - w) / q)
+            first, period = up, up - math.floor((Fraction(cfg.control.lower) + w) / q)
+        expected = list(range(first, len(traj.times) + 1, period))
+        if found != expected:
+            mismatches.append((cfg, found, expected))
+    assert mismatches == []
 
 
 @settings(PROPERTY_SETTINGS, max_examples=40)

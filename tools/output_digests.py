@@ -16,7 +16,10 @@ The cases:
   `snapshots-J<J>-1cpu` with `os.sched_getaffinity` reporting one, so
   that the CLI process prints it;
 * `run` on the four perfbench workloads at seeds 0-3, as
-  `perfbench/run.py`'s `workload_config` builds them;
+  `perfbench/run.py`'s `workload_config` builds them; snapshot_emit and
+  adaptive_dense, whose snapshots or switches go to a helper process on
+  two or more usable CPUs, also as `<workload>-seed<seed>-1cpu` with one
+  CPU reported, so that the CLI process writes them too;
 * `run` on a seeded sample of 60 fixed and 60 adaptive configs, with J
   in {2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201}, both quadratures on the
   fixed grid and snapshot strides 0, 1 and 7.
@@ -58,6 +61,7 @@ from unittest import mock
 JS = (2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201)
 STRIDES = (0, 1, 7)
 SEEDS = range(4)
+HELPER_WORKLOADS = ("snapshot_emit", "adaptive_dense")
 SAMPLE_SEED = 0
 SAMPLE_SIZE = 60
 
@@ -102,6 +106,8 @@ def cases(root: Path):
     for name in bench.WORKLOADS:
         for seed in SEEDS:
             yield f"{name}-seed{seed}", ["run"], bench.workload_config(name, seed)
+            if name in HELPER_WORKLOADS:
+                yield f"{name}-seed{seed}-1cpu", ["run"], bench.workload_config(name, seed)
 
     rng = random.Random(SAMPLE_SEED)
     for mode in ("fixed", "adaptive"):
