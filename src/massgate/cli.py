@@ -250,7 +250,7 @@ def _open_snapshot_sink(cells: int, width: int, file):
     return add, lambda: None
 
 
-def _open_switch_sink(control: ControlConfig, stages, width: int, switches, report):
+def _open_switch_sink(control: ControlConfig, stages, switches, report):
     """The sink of switches.csv and report.json (see ``StreamWriter``); a
     record is the index and time of a switch detected on the time grid of
     ``stages``.  Each chunk is paired with its closed-form times
@@ -258,7 +258,7 @@ def _open_switch_sink(control: ControlConfig, stages, width: int, switches, repo
     write, rows = _switch_writer(switches, report), []
 
     def add(batch) -> None:
-        chunk = [pair_switch(int(batch[i]), batch[i + 1], control, stages) for i in range(0, len(batch), width)]
+        chunk = [pair_switch(int(batch[i]), batch[i + 1], control, stages) for i in range(0, len(batch), 2)]
         rows.extend(chunk)
         write(chunk)
 
@@ -271,16 +271,16 @@ class StreamWriter:
 
     ``sink`` is the ``(add, finish)`` the caller opened on ``files``, open
     binary files, whose headers it wrote; they are flushed here, before
-    any fork.  ``add(batch)`` writes a flat sequence of whole records, and
-    ``finish()`` what follows the last one.  ``add(record)`` takes a list
-    of floats into an ``array('d')`` and passes on the whole records that
-    fit in ``chunk`` bytes at once.  With ``stream`` and a second usable
-    CPU, a forked helper process inherits the sink and the files: the
-    chunks are piped to it as float64, and it writes them as they come,
-    then closes the files.  Otherwise, or when the fork fails, the chunks
-    go to the sink in-process, and the caller closes the files.  Close
-    writers that stream at once last created first, since a helper holds
-    the pipes of the writers created before it.
+    any fork.  ``add(batch)`` writes an ``array('d')`` of whole records,
+    and ``finish()`` what follows the last one.  ``add(record)`` takes a
+    list of floats into such an array and passes on the whole records
+    that fit in ``chunk`` bytes at once.  With ``stream``, a forked helper
+    process inherits the sink and the files: the chunks are piped to it
+    as float64, and it writes them as they come, then closes its copies.
+    Otherwise, or when the fork fails, they go to the sink in-process.
+    The caller closes its copies after ``close``.  Close writers that
+    stream at once last created first, since a helper holds the pipes of
+    the writers created before it.
     """
 
     def __init__(self, files: list, sink: tuple, width: int, chunk: int, stream: bool) -> None:
@@ -288,9 +288,7 @@ class StreamWriter:
         self.records, self.batch = array("d"), width * max(1, chunk // (8 * width))
         for file in files:
             file.flush()
-        self.pid = 0
-        if stream and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
-            self.pid = self._fork()
+        self.pid = self._fork() if stream else 0
 
     def _fork(self) -> int:
         """Fork the helper and return its pid, or 0 if the fork failed."""
@@ -308,8 +306,6 @@ class StreamWriter:
             os.close(write_end)  # else the pipe would never close
             self._serve(read_end)
         os.close(read_end)
-        for file in self.files:  # the helper's now; their buffers are empty here
-            file.close()
         self.pipe = open(write_end, "wb", buffering=8 * self.batch)
         self.write = self.pipe.write
         return pid
@@ -322,7 +318,7 @@ class StreamWriter:
         try:
             with open(pipe, "rb") as records:
                 while data := records.read(8 * self.batch):
-                    self.write(array("d", data).tolist())
+                    self.write(array("d", data))
                 self.finish()
             for file in self.files:
                 file.close()
@@ -407,9 +403,9 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
 
     ``streamed`` is ``(stack, mass_csv)``: the ``ExitStack`` on which
     ``_create`` opened the four files and the run's ``StreamWriter``s
-    registered their closes, and the open mass.csv; ``report`` is then
-    None.  The stack unwinds once mass.csv is written, so the writers
-    close.  Without ``streamed``, ``_create`` opens the files here, and
+    registered their closes, and mass.csv, its header written; ``report``
+    is then None.  The stack unwinds once mass.csv is written, so the
+    writers close.  Without ``streamed``, ``_create`` opens the files here, and
     the trajectory's snapshots and ``report``'s rows and summary are
     written by the same snapshot sink and switch writer.  All snapshots
     must share one spatial grid of at least two nodes, as those of one
@@ -427,11 +423,11 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
             if nodes == 1:
                 raise ValueError("a snapshot needs at least two nodes, the grid's ends")
             switches, mass_csv, snapshots, entries = _create(stack, out)
+            mass_csv.write(b"time,mass,flux\n")
             add, _ = _open_snapshot_sink(nodes - 1, nodes + 1, snapshots)
             for values, time in traj.snapshots:
                 add([*values, time])
             _switch_writer(switches, entries)(report.events, report)
-        mass_csv.write(b"time,mass,flux\n")
         mass_csv.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
     written = [out / name for name in OUTPUTS]
     _info("wrote %s", ", ".join(str(p) for p in written))
@@ -456,28 +452,32 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
-    """Run and emit the four files.  All four are opened, and the headers
-    of all but mass.csv written, first, so an unwritable one fails before
-    the first step.  Those three are written by their sinks while the run
-    steps, each switch paired with its closed-form time as it comes, and
-    each snapshot as the run's mirror half U_0..U_{J//2}.  Where a second
-    CPU allows, a helper process takes the snapshot sink when the run
-    takes a snapshot, and another the switch sink when at least
-    STREAM_SWITCHES closed-form switches lie up to the horizon; the CLI
-    process writes the rest.  A failed run or emit leaves none of the
-    four files."""
+    """Run and emit the four files.  All four are opened, and their
+    headers written, first, so an unwritable one fails before the first
+    step.  The rows of all but mass.csv are written by their sinks while
+    the run steps, each switch paired with its closed-form time as it
+    comes, and each snapshot as the run's mirror half U_0..U_{J//2}.
+    Here alone it is decided which sink a helper process takes: given a
+    second usable CPU, the snapshot sink when the run takes a snapshot,
+    and the switch sink when at least STREAM_SWITCHES closed-form
+    switches lie up to the horizon; the CLI process writes the rest.  It
+    closes every file it opened once the helpers are reaped.  A failed
+    run or emit leaves none of the four files."""
     out = Path(out)
     control, grid, _, mode, stride = run_config
     stages = mode.stages(control)
+    spare = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1  # a second usable CPU
     with ExitStack() as stack:
         switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
+        mass_csv.write(b"time,mass,flux\n")
+        mass_csv.flush()
         width = grid.cells // 2 + 2
         snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink(grid.cells, width, snapshots_csv), width,
-                                 _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages))
+                                 _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages) and spare)
         stack.callback(snapshots.close)
         files = [switches_csv, report_json]
-        switches = StreamWriter(files, _open_switch_sink(control, stages, 2, *files), 2, _SWITCH_CHUNK,
-                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
+        switches = StreamWriter(files, _open_switch_sink(control, stages, *files), 2, _SWITCH_CHUNK,
+                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES and spare)
         stack.callback(switches.close)  # closed first: its helper holds the snapshot pipe
         traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
                    lambda event: switches.add([event.index, event.time]))

@@ -494,7 +494,8 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("stride, cpus", [(0, 2), (1, 1), (1, 2)])
 def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpus):
-    # with a stride and two CPUs, the helper process meets the full disk
+    # the CLI process meets the full disk when it flushes the header,
+    # before any helper is forked
     use_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     out.mkdir()
@@ -504,15 +505,16 @@ def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpu
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
 
-def broken_snapshot_sink(marker):
-    """A stand-in for ``_open_snapshot_sink`` whose ``add`` touches
-    ``marker`` on its first non-empty batch, then raises: a helper is a
-    fork, so the marker shows that the printer itself failed."""
-    def open_sink(cells, width, file):
+def broken_sink(marker, error=None):
+    """A stand-in for ``_open_snapshot_sink`` or ``_open_switch_sink``
+    whose ``add`` touches ``marker`` on its first non-empty batch, then
+    raises ``error``, a RuntimeError by default: a helper is a fork, so
+    the marker shows that the printer itself failed."""
+    def open_sink(*args):
         def add(batch):
             if len(batch):
                 marker.touch()
-                raise RuntimeError("printer broke")
+                raise error or RuntimeError("printer broke")
         return add, lambda: None
     return open_sink
 
@@ -520,7 +522,7 @@ def broken_snapshot_sink(marker):
 def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
     marker = tmp_path / "printed"
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_snapshot_sink(marker))
+    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_sink(marker))
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
@@ -543,7 +545,7 @@ def test_cli_helper_dying_mid_run_is_one_io_error_and_leaves_no_file(tmp_path, c
         return trace if frame.f_code is StreamWriter.end.__code__ else None
 
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_snapshot_sink(marker))
+    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_sink(marker))
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**REFERENCE, "N": 2000, "snapshot_stride": 1})
     sys.settrace(trace)
@@ -557,6 +559,25 @@ def test_cli_helper_dying_mid_run_is_one_io_error_and_leaves_no_file(tmp_path, c
     assert marker.exists()
     assert list(out.iterdir()) == []
     assert set(raised) == {BrokenPipeError}  # swallowed: the helper's status is what is reported
+
+
+@pytest.mark.parametrize("sink, mapping", [("_open_snapshot_sink", {**REFERENCE, "N": 2000, "snapshot_stride": 1}),
+                                           ("_open_switch_sink", DENSE_ADAPTIVE)], ids=["snapshots", "switches"])
+@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
+def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys, monkeypatch, cpus, fork_fails,
+                                                                sink, mapping):
+    # in a helper, the OSError becomes its exit status, which the CLI
+    # process raises again as the same errno when it reaps it
+    marker, full = tmp_path / "printed", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    use_cpus(monkeypatch, cpus)
+    if fork_fails:
+        fail_fork(monkeypatch)
+    monkeypatch.setattr(f"massgate.cli.{sink}", broken_sink(marker, full))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
+    assert marker.exists()
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -695,7 +716,7 @@ SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 5
                         "Nstage": 2}
 
 
-@pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1)])
+@pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1), ("mass.csv", 0)])
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, cpus, fork_fails,
                                                                   blocked, stride):
@@ -758,7 +779,7 @@ def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, m
     records = array("d", [value for event in traj.events for value in (event.index, event.time)])
     for switches in (1, 2, 256, max(1, count)):
         files = io.BytesIO(), io.BytesIO()
-        add, finish = _open_switch_sink(run_config.control, run_config.mode.stages(run_config.control), 2, *files)
+        add, finish = _open_switch_sink(run_config.control, run_config.mode.stages(run_config.control), *files)
         for i in range(0, len(records), 2 * switches):
             add(records[i:i + 2 * switches])
         finish()

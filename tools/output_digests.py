@@ -40,7 +40,8 @@ commit:
     diff parent.txt change.txt
 
 An empty diff means every file is byte-identical.  The perfbench cases
-import numpy, as `perfbench/run.py` does.
+import numpy, as `perfbench/run.py` does, and scipy, which
+`perfbench/checks.py` imports.
 """
 
 from __future__ import annotations
