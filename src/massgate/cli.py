@@ -157,8 +157,6 @@ STREAM_SWITCHES = 400
 _SNAPSHOT_CHUNK = 1 << 16
 _SWITCH_CHUNK = 256 * 2 * 8
 
-# A run's output files, in the order ``_create`` opens them.
-OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
 _SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
 
@@ -187,16 +185,16 @@ _REPORT_TAIL = b"""],
 """
 _JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"),
                    (b"True", b"true"), (b"False", b"false"))
+# A run's output files, in the order ``_create`` opens them, and their headers.
+OUTPUTS = {"switches.csv": _SWITCHES_HEADER, "mass.csv": b"time,mass,flux\n", "snapshots.csv": b"time,x,u\n",
+           "report.json": _REPORT_HEAD}
 
 
 def _switch_writer(switches, report):
-    """Write the headers of switches.csv and report.json and return
-    ``write(rows, summary=None)``, the one writer of their rows, entries
-    and summary: it adds a chunk of paired switches that follow those
-    written before, with one write to each file, then, given the
-    ``ErrorReport`` of all of them, the summary."""
-    switches.write(_SWITCHES_HEADER)
-    report.write(_REPORT_HEAD)
+    """``write(rows, summary=None)``, the one writer of the rows, entries
+    and summary of switches.csv and report.json: it adds a chunk of paired
+    switches that follow those written before, with one write to each
+    file, then, given the ``ErrorReport`` of all of them, the summary."""
     comma = b""  # none before the first entry
 
     def write(rows, summary: ErrorReport | None = None) -> None:
@@ -229,7 +227,6 @@ def _open_snapshot_sink(cells: int, width: int, file):
     an empty batch when it closes, while J may be close to
     ``sys.maxsize``.  Such a run must fail at once, out of memory, when
     it allocates its field; building them earlier would hang it."""
-    file.write(b"time,x,u\n")
     count = width - 1
     half, built = count <= cells, []
 
@@ -270,17 +267,18 @@ class StreamWriter:
     a time while the run steps.
 
     ``sink`` is the ``(add, finish)`` the caller opened on ``files``, open
-    binary files, whose headers it wrote; they are flushed here, before
-    any fork.  ``add(batch)`` writes an ``array('d')`` of whole records,
-    and ``finish()`` what follows the last one.  ``add(record)`` takes a
-    list of floats into such an array and passes on the whole records
-    that fit in ``chunk`` bytes at once.  With ``stream``, a forked helper
-    process inherits the sink and the files: the chunks are piped to it
-    as float64, and it writes them as they come, then closes its copies.
-    Otherwise, or when the fork fails, they go to the sink in-process.
-    The caller closes its copies after ``close``.  Close writers that
-    stream at once last created first, since a helper holds the pipes of
-    the writers created before it.
+    binary files.  They are flushed here, so that a forked helper inherits
+    no buffered bytes, which both processes would write.  ``add(batch)``
+    writes an ``array('d')`` of whole records, and ``finish()`` what
+    follows the last one.  ``add(record)`` takes a list of floats into
+    such an array and passes on the whole records that fit in ``chunk``
+    bytes at once.  With ``stream``, a forked helper process inherits the
+    sink and the files: the chunks are piped to it as float64, and it
+    writes them as they come, then closes its copies.  Otherwise, or when
+    the fork fails, they go to the sink in-process.  The caller closes its
+    copies after ``close``.  Close writers last created first, since a
+    helper holds the pipes of the writers created before it: a helper
+    whose pipe stays open never exits.
     """
 
     def __init__(self, files: list, sink: tuple, width: int, chunk: int, stream: bool) -> None:
@@ -339,14 +337,12 @@ class StreamWriter:
         return ", ".join(file.name for file in self.files)
 
     def end(self) -> None:
-        """Add no more records; a helper then finishes the files while the
-        caller goes on."""
-        if self.pid and not self.pipe.closed:
-            try:
-                with self.pipe:
-                    self.pipe.write(self.records)
-            except BrokenPipeError:  # the helper stopped early; its status says why
-                pass
+        """Send the helper the last records and close its pipe."""
+        try:
+            with self.pipe:
+                self.pipe.write(self.records)
+        except BrokenPipeError:  # the helper stopped early; its status says why
+            pass
 
     def close(self) -> None:
         """Complete the files: finish them here, or end the input and wait
@@ -376,18 +372,23 @@ def _discard(paths: list):
     return discard
 
 
-def _create(stack: ExitStack, out: Path, names: tuple[str, ...] = OUTPUTS) -> list:
-    """Make ``out`` and open its files ``names`` (a run's, sweep's or
-    compare's) for writing, in that order, on ``stack``, each buffered by
-    _SNAPSHOT_CHUNK bytes, so that snapshot rows of about 2 KB go out in
-    fewer writes than by 8 KiB.  Beneath them goes a ``_discard`` of them:
-    if the stack unwinds with an error, every file opened here goes."""
+def _create(stack: ExitStack, out: Path, headers: dict[str, bytes] = OUTPUTS) -> list:
+    """Make ``out`` and open the files ``headers`` names (a run's, sweep's
+    or compare's) for writing, in that order, on ``stack``, each buffered
+    by _SNAPSHOT_CHUNK bytes, so that snapshot rows of about 2 KB go out
+    in fewer writes than by 8 KiB.  Each header is written and flushed as
+    its file opens, so a file that cannot take it fails before any row is
+    made.  Beneath them goes a ``_discard`` of them: if the stack unwinds
+    with an error, every file opened here goes."""
     out.mkdir(parents=True, exist_ok=True)
     paths, files = [], []
     stack.push(_discard(paths))
-    for path in (out / name for name in names):
-        files.append(stack.enter_context(path.open("wb", buffering=_SNAPSHOT_CHUNK)))
-        paths.append(path)
+    for name, header in headers.items():
+        file = stack.enter_context((out / name).open("wb", buffering=_SNAPSHOT_CHUNK))
+        paths.append(out / name)
+        file.write(header)
+        file.flush()
+        files.append(file)
     return files
 
 
@@ -403,15 +404,14 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
 
     ``streamed`` is ``(stack, mass_csv)``: the ``ExitStack`` on which
     ``_create`` opened the four files and the run's ``StreamWriter``s
-    registered their closes, and mass.csv, its header written; ``report``
-    is then None.  The stack unwinds once mass.csv is written, so the
-    writers close.  Without ``streamed``, ``_create`` opens the files here, and
-    the trajectory's snapshots and ``report``'s rows and summary are
-    written by the same snapshot sink and switch writer.  All snapshots
-    must share one spatial grid of at least two nodes, as those of one
-    run do: ValueError otherwise, before any file is opened.  Raises
-    OSError on unwritable paths.  If anything fails, none of the four
-    files is left.
+    registered their closes, and mass.csv; ``report`` is then None.  The
+    stack unwinds once mass.csv is written, so the writers close.  Without
+    ``streamed``, ``_create`` opens the files here, and the trajectory's
+    snapshots and ``report``'s rows and summary are written by the same
+    snapshot sink and switch writer.  All snapshots must share one
+    spatial grid of at least two nodes, as those of one run do:
+    ValueError otherwise, before any file is opened.  Raises OSError on
+    unwritable paths.  If anything fails, none of the four files is left.
     """
     out = Path(out_dir)
     stack, mass_csv = streamed or (ExitStack(), None)
@@ -423,7 +423,6 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
             if nodes == 1:
                 raise ValueError("a snapshot needs at least two nodes, the grid's ends")
             switches, mass_csv, snapshots, entries = _create(stack, out)
-            mass_csv.write(b"time,mass,flux\n")
             add, _ = _open_snapshot_sink(nodes - 1, nodes + 1, snapshots)
             for values, time in traj.snapshots:
                 add([*values, time])
@@ -461,27 +460,25 @@ def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
     second usable CPU, the snapshot sink when the run takes a snapshot,
     and the switch sink when at least STREAM_SWITCHES closed-form
     switches lie up to the horizon; the CLI process writes the rest.  It
-    closes every file it opened once the helpers are reaped.  A failed
-    run or emit leaves none of the four files."""
+    closes every file it opened once the helpers are reaped, the switch
+    helper first, since it holds the snapshot pipe.  A failed run or emit
+    leaves none of the four files."""
     out = Path(out)
     control, grid, _, mode, stride = run_config
     stages = mode.stages(control)
     spare = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1  # a second usable CPU
     with ExitStack() as stack:
         switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
-        mass_csv.write(b"time,mass,flux\n")
-        mass_csv.flush()
         width = grid.cells // 2 + 2
         snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink(grid.cells, width, snapshots_csv), width,
                                  _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages) and spare)
         stack.callback(snapshots.close)
         files = [switches_csv, report_json]
         switches = StreamWriter(files, _open_switch_sink(control, stages, *files), 2, _SWITCH_CHUNK,
-                                switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES and spare)
+                                spare and switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
         stack.callback(switches.close)  # closed first: its helper holds the snapshot pipe
         traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
                    lambda event: switches.add([event.index, event.time]))
-        switches.end()  # its helper writes the summary while mass.csv is written
         emit_outputs(traj, None, out, (stack.pop_all(), mass_csv))
     return traj
 
@@ -514,7 +511,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     control, grid, _, mode, stride = run_config
     reports = []
     with ExitStack() as stack:  # compare.json first, so an unwritable one fails before the runs
-        (compare_json,) = _create(stack, out, ("compare.json",))
+        (compare_json,) = _create(stack, out, {"compare.json": b""})
         for kind in (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID):
             # a new RunConfig, not _replace, so that the variant is validated
             variant = RunConfig(control, grid, kind, mode, stride)
@@ -551,8 +548,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     out = Path(args.out)
     with ExitStack() as stack:  # after the last run, so a failed sweep leaves no directory
-        sweep_csv, sweep_json = _create(stack, out, ("sweep.csv", "sweep.json"))
-        sweep_csv.write(b"N,dt,events,max_abs_err,all_within_bound\n")
+        sweep_csv, sweep_json = _create(stack, out, {"sweep.csv": b"N,dt,events,max_abs_err,all_within_bound\n",
+                                                     "sweep.json": b""})
         sweep_csv.writelines(b"%d,%r,%d,%s,%s\n" % (
             row["N"], row["dt"], row["events"], b"" if row["max_abs_err"] is None else b"%.10f" % row["max_abs_err"],
             b"true" if row["all_within_bound"] else b"false") for row in rows)

@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -736,6 +737,31 @@ def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
+def test_cli_run_with_both_helpers_exits_and_writes_the_post_run_bytes(tmp_path):
+    # the switch helper holds the snapshot pipe, so closing the snapshot
+    # writer first would hang the run; in its own session, a run that
+    # outlives the timeout is killed with both helpers
+    mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 5}
+    out = tmp_path / "out"
+    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
+              "import massgate.cli; sys.exit(massgate.cli.main(sys.argv[1:]))")
+    src = str(Path(massgate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "MASSGATE_LOG": "info"}
+    argv = [sys.executable, "-c", script, "run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as child:
+        try:
+            _, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("massgate run with both helpers did not exit within 60 s")
+    assert child.returncode == 0, err
+    assert len(re.findall(r"^INFO massgate\.cli: helper \d+ wrote ", err, re.MULTILINE)) == 2, err
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+    assert {name: (out / name).read_bytes() for name in OUTPUTS} == expected
+
+
 def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
     use_cpus(monkeypatch, 2)
     caplog.set_level(logging.INFO, logger="massgate.cli")
@@ -779,6 +805,8 @@ def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, m
     records = array("d", [value for event in traj.events for value in (event.index, event.time)])
     for switches in (1, 2, 256, max(1, count)):
         files = io.BytesIO(), io.BytesIO()
+        for file, name in zip(files, ("switches.csv", "report.json")):
+            file.write(massgate.cli.OUTPUTS[name])  # the headers, as _create writes them
         add, finish = _open_switch_sink(run_config.control, run_config.mode.stages(run_config.control), *files)
         for i in range(0, len(records), 2 * switches):
             add(records[i:i + 2 * switches])
