@@ -17,6 +17,9 @@ from collections import namedtuple
 from .analytic import ControlConfig
 from .stepper import FluxSign
 
+# The flux sign after an even and after an odd number of switches.
+_FLUX_AFTER = (FluxSign.INFLOW, FluxSign.OUTFLOW)
+
 
 class SwitchEvent(namedtuple("SwitchEvent", "index time mass_at_switch")):
     """The ``index``-th detected threshold crossing, counted from 1: an
@@ -40,10 +43,10 @@ def observe(
     <= lower) up to the window ``atol``, which the caller sizes to its
     step.
     """
-    if events:
-        if time <= events[-1].time:
+    if events:  # written so that a NaN time fails too
+        if not time > events[-1].time:
             raise ValueError(f"observation time {time} not after last event at {events[-1].time}")
-    elif time < 0.0:
+    elif not time >= 0.0:
         raise ValueError(f"observation time must be nonnegative, got {time}")
 
     if len(events) % 2:
@@ -52,4 +55,4 @@ def observe(
         crossed = mass_value >= control.upper - atol
     if crossed:
         events.append(SwitchEvent(len(events) + 1, time, mass_value))
-    return FluxSign.OUTFLOW if len(events) % 2 else FluxSign.INFLOW
+    return _FLUX_AFTER[len(events) % 2]

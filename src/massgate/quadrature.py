@@ -36,6 +36,10 @@ class QuadratureKind(Enum):
     TRAPEZOID = "trapezoid"
 
 
+# Plain names for the members: ``mass`` runs every step, and an Enum class read is slow.
+_RIEMANN, _TRAPEZOID = QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID
+
+
 def _fsum(terms: Sequence[float]) -> float:
     """The correctly rounded sum of ``terms``: +-inf past the float range
     and nan for inf + -inf, where ``math.fsum`` raises instead."""
@@ -56,17 +60,20 @@ def mass(u: Sequence[float], grid: GridSpec, kind: QuadratureKind) -> float:
     whole = len(u) == cells + 1
     if not whole and len(u) != cells // 2 + 1:
         raise ValueError(f"field has {len(u)} values, grid expects {cells + 1}, or its half {cells // 2 + 1}")
-    if kind is QuadratureKind.RIEMANN_INTERIOR:
-        terms = list(u[1:cells] if whole else u[1:])
-    elif kind is QuadratureKind.TRAPEZOID:
-        terms = list(u)  # the end samples weigh half
-        terms[0] *= 0.5
+    terms = list(u)  # the one copy, for any sequence, numpy views included
+    if kind is _RIEMANN:
+        if whole:
+            del terms[cells]
+        del terms[0]
+    elif kind is _TRAPEZOID:
+        terms[0] *= 0.5  # the end samples weigh half
         if whole:
             terms[cells] *= 0.5
     else:
         raise ValueError(f"unknown quadrature kind: {kind!r}")
+    dx = 1.0 / cells  # GridSpec.dx, without the property call
     if whole:
-        return grid.dx * _fsum(terms)
+        return dx * _fsum(terms)
     if cells % 2 == 0:  # the middle sample is its own mirror
         terms[-1] *= 0.5
-    return grid.dx * (2.0 * _fsum(terms))
+    return dx * (2.0 * _fsum(terms))

@@ -208,7 +208,11 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     flip, if any, takes effect on the next step.  Step i of a stage is
     stamped start + i * dt, the only clock, so the times carry no
     running-sum drift.  Deterministic: identical configs give identical
-    output.
+    output.  ``step``, ``mass`` and ``observe`` stay one call a step,
+    looked up in this module, because perfbench traces them here and
+    ``tests/test_perfbench_hooks.py`` counts them; fusing them into the
+    loop waits for perfbench to read a run manifest (ROADMAP item 1,
+    Half B).
 
     Every ``snapshot_stride`` steps, ``on_snapshot(values, time)`` gets
     the state U_0..U_h, a new list each step, which a sink may keep; by

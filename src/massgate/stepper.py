@@ -115,25 +115,24 @@ def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
 
 
 def solve(matrix: StepMatrix, rhs: list[float]) -> list[float]:
-    """x with matrix @ x = rhs, as a list; ``rhs`` holds n floats (a list
-    is fastest, any sequence works) and is not modified."""
+    """x with matrix @ x = rhs, as a new list; ``rhs`` holds n floats (a
+    list is fastest, any sequence works) and is not modified.  One copy of
+    it is eliminated in place: the forward pass leaves the reduced
+    right-hand side, and the back pass overwrites that with x."""
     pivots = matrix.pivots
-    if len(rhs) != len(pivots):
-        raise ValueError(f"rhs has {len(rhs)} entries, expected {len(pivots)}")
-    r = rhs[0]
-    reduced = [r]
-    for w, b in zip(matrix.multipliers, rhs[1:]):
-        r = b + w * r
-        reduced.append(r)
+    n = len(pivots)
+    if len(rhs) != n:
+        raise ValueError(f"rhs has {len(rhs)} entries, expected {n}")
+    x = list(rhs)
+    r = x[0]
+    for i, w in enumerate(matrix.multipliers, 1):
+        r = x[i] = x[i] + w * r
 
     nu = matrix.nu
-    x = reduced.pop() / pivots[-1]
-    solution = [x]
-    for r, pivot in zip(reversed(reduced), pivots[-2::-1]):
-        x = (r + nu * x) / pivot
-        solution.append(x)
-    solution.reverse()
-    return solution
+    r = x[-1] = r / pivots[-1]
+    for i in range(n - 2, -1, -1):
+        r = x[i] = (x[i] + nu * r) / pivots[i]
+    return x
 
 
 def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[float]:
@@ -141,16 +140,23 @@ def step(values: Sequence[float], flux: FluxSign, matrix: StepMatrix) -> list[fl
     given flux sign, as a new list: U_0..U_J for an assembled matrix, and
     for its ``folded`` one U_0..U_h, h = J//2, of a mirror-symmetric
     field, a run's state.  The interior comes from ``solve``, with
-    nu * dx * s added to the end rows of the right-hand side; U_0 and U_J
-    follow from the one-sided flux conditions, so the discrete boundary
-    slopes equal -s and +s exactly.
+    nu * dx * s added to the end rows of the right-hand side, one copy of
+    ``values`` less its ends; U_0 and U_J follow from the one-sided flux
+    conditions, added to the solve's list, so the discrete boundary
+    slopes equal -s and +s exactly.  ``values`` is not modified.
     """
     forcing = matrix.forcing * flux
     offset = matrix.dx * flux
     folded = matrix.folded is None
-    rhs = list(values[1:] if folded else values[1:-1])  # a copy for any sequence, numpy views included
+    rhs = list(values)  # the one copy, for any sequence, numpy views included
+    if not folded:
+        del rhs[-1]
+    del rhs[0]
     rhs[0] += forcing
     if not folded or matrix.dx == 0.5:  # the last row is an end row; in a fold only at J = 2
         rhs[-1] += forcing
     x = solve(matrix, rhs)
-    return [x[0] + offset, *x] if folded else [x[0] + offset, *x, x[-1] + offset]
+    x.insert(0, x[0] + offset)
+    if not folded:
+        x.append(x[-1] + offset)
+    return x

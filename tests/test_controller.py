@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,20 @@ def test_observation_time_must_advance_past_last_event():
         observe(events, 0.15, 0.4, CONTROL, WINDOW)
     with pytest.raises(ValueError):
         observe([], 0.05, -0.1, CONTROL, WINDOW)
+
+
+def test_nan_observation_time_is_rejected_first_and_after_an_event():
+    # NaN fails every comparison: a check written as `time < 0.0` or
+    # `time <= last` would let it through and append a switch at t = nan.
+    events = []
+    with pytest.raises(ValueError):
+        observe(events, 0.3, math.nan, CONTROL, WINDOW)  # would cross the upper threshold
+    assert events == []
+    observe(events, 0.2, 0.5, CONTROL, WINDOW)
+    with pytest.raises(ValueError):
+        observe(events, 0.05, math.nan, CONTROL, WINDOW)  # would cross the lower one
+    assert [ev.time for ev in events] == [0.5]
+    assert observe(events, 0.05, 0.6, CONTROL, WINDOW) is FluxSign.INFLOW
 
 
 def test_initial_state_defaults():

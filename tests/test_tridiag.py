@@ -2,6 +2,8 @@
 dense LU oracle and an exact solve in integer arithmetic, on step
 matrices of random size and diffusion number."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,73 @@ def test_input_arrays_not_mutated():
     solve(matrix, rhs)
     assert matrix.pivots == pivots
     assert np.array_equal(rhs, [1.0, 2.0, 3.0])
+
+
+def reference_solve(matrix: StepMatrix, rhs) -> list[float]:
+    """``solve`` written as two loops over new lists: the forward pass
+    appends the reduced right-hand side, and the back pass pops its last
+    entry, appends the solution backwards and reverses it."""
+    pivots = matrix.pivots
+    r = rhs[0]
+    reduced = [r]
+    for w, b in zip(matrix.multipliers, rhs[1:]):
+        r = b + w * r
+        reduced.append(r)
+    nu = matrix.nu
+    x = reduced.pop() / pivots[-1]
+    solution = [x]
+    for r, pivot in zip(reversed(reduced), pivots[-2::-1]):
+        x = (r + nu * x) / pivot
+        solution.append(x)
+    solution.reverse()
+    return solution
+
+
+def reference_step(values, flux: FluxSign, matrix: StepMatrix) -> list[float]:
+    """``step`` written with a slice of ``values`` copied into a list, and
+    the result rebuilt around the solve's list."""
+    forcing = matrix.forcing * flux
+    offset = matrix.dx * flux
+    folded = matrix.folded is None
+    rhs = list(values[1:] if folded else values[1:-1])
+    rhs[0] += forcing
+    if not folded or matrix.dx == 0.5:
+        rhs[-1] += forcing
+    x = reference_solve(matrix, rhs)
+    return [x[0] + offset, *x] if folded else [x[0] + offset, *x, x[-1] + offset]
+
+
+def bits(values) -> bytes:
+    """The IEEE bytes of each float, so that -0.0 differs from 0.0."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def signed_fields(rng: np.random.Generator, size: int) -> list[np.ndarray]:
+    """Fields of ``size`` samples: all +0.0, all -0.0, and random values
+    over six decades with about a fifth of them set to +0.0 or -0.0."""
+    mixed = rng.normal(size=size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    mixed[rng.random(size) < 0.1] = 0.0
+    mixed[rng.random(size) < 0.1] = -0.0
+    return [np.zeros(size), np.full(size, -0.0), mixed]
+
+
+@pytest.mark.parametrize("cells", [2, 3, 4, 5, 7, 50, 51, 1000, 10001])
+def test_in_place_solve_and_step_match_the_two_loop_reference_bit_for_bit(cells):
+    # The in-place elimination and the one-copy step do the reference's
+    # arithmetic in its order, on the whole matrix and on its fold, for
+    # list and numpy inputs, and leave their inputs as they were.
+    rng = np.random.default_rng(cells)
+    for nu in 10.0 ** np.arange(-6, 9, 2):
+        whole = assemble(GridSpec(cells), float(nu) / cells**2, 1.0)
+        for matrix in (whole, whole.folded):
+            size = len(matrix.pivots) + (1 if matrix.folded is None else 2)  # U_0..U_h or U_0..U_J
+            for field in signed_fields(rng, size):
+                for values in (field.tolist(), field):
+                    before = bits(values)
+                    rhs = values[1:1 + len(matrix.pivots)]
+                    rhs_before = bits(rhs)
+                    assert bits(solve(matrix, rhs)) == bits(reference_solve(matrix, rhs))
+                    assert bits(rhs) == rhs_before
+                    for flux in FluxSign:
+                        assert bits(step(values, flux, matrix)) == bits(reference_step(values, flux, matrix))
+                    assert bits(values) == before
