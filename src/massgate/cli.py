@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import sys
-from array import array
 from contextlib import ExitStack
 from operator import itemgetter
 from pathlib import Path
@@ -38,8 +37,6 @@ from .runner import (
     RunConfig,
     Trajectory,
     compare_with_oracle,
-    error_report,
-    pair_switch,
     run,
 )
 from .stepper import GridSpec
@@ -145,17 +142,9 @@ def _info(message: str, *args) -> None:
         logging.getLogger("massgate.cli").info(message, *args)
 
 
-# Given a second usable CPU, a run with at least this many closed-form
-# switches up to its horizon pairs and writes them in a helper process
-# while it steps.  The sink costs the same in either process, about 7 us
-# a switch, so only the fork and reap weigh against the helper: about
-# 1.7 ms of the run's CPU and 3.1 ms of its wall time.  Less the 0.5 us a
-# switch of piping, the helper pays off from about 270 to 480 switches.
-STREAM_SWITCHES = 400
-# Bytes per pipe write: 64 KiB of snapshots, but 256 switches, so that
-# the helper's work left after the run's last step is short (about 2 ms).
-_SNAPSHOT_CHUNK = 1 << 16
-_SWITCH_CHUNK = 256 * 2 * 8
+# Each output file's buffer: snapshot rows of about 2 KB go out in fewer
+# writes than by 8 KiB.
+_BUFFER = 1 << 16
 
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
 _SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
@@ -163,7 +152,7 @@ _SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
 # report.json as json.dumps(..., indent=2) lays it out: the head, each
 # event's entry, comma-separated, and the tail with the summary.  Every
 # value is printed with %r, so it must be a Python scalar, as
-# ``error_report`` builds them.  Where repr and JSON spell a value
+# ``compare_with_oracle`` builds them.  Where repr and JSON spell a value
 # differently, _JSON_SPELLINGS maps one to the other, which is safe
 # because no key contains them.
 _REPORT_HEAD = b'{\n  "events": ['
@@ -190,176 +179,48 @@ OUTPUTS = {"switches.csv": _SWITCHES_HEADER, "mass.csv": b"time,mass,flux\n", "s
            "report.json": _REPORT_HEAD}
 
 
-def _switch_writer(switches, report):
-    """``write(rows, summary=None)``, the one writer of the rows, entries
-    and summary of switches.csv and report.json: it adds a chunk of paired
-    switches that follow those written before, with one write to each
-    file, then, given the ``ErrorReport`` of all of them, the summary."""
-    comma = b""  # none before the first entry
-
-    def write(rows, summary: ErrorReport | None = None) -> None:
-        nonlocal comma
-        switches.writelines([_SWITCH_ROW % (k, computed, oracle, error, bound, b"true" if within else b"false")
-                             for k, computed, oracle, error, bound, within in rows])
-        text = b",".join(map(_REPORT_EVENT.__mod__, rows))
-        if text:
-            text, comma = comma + text, b","
-        if summary is not None:
-            text += (b"\n  " if comma else b"") + _REPORT_TAIL % (summary.max_abs_error, summary.mean_spacing)
-        for spelling, json_spelling in _JSON_SPELLINGS:
-            text = text.replace(spelling, json_spelling)
-        report.write(text)
-
-    return write
+def _switch_writer(switches, report, summary: ErrorReport) -> None:
+    """Write the rows of switches.csv and the entries and summary of
+    report.json, the one writer of both, from ``summary``, the
+    ``ErrorReport`` of a run's paired switches, each file in one write."""
+    rows = summary.events
+    switches.writelines([_SWITCH_ROW % (k, computed, oracle, error, bound, b"true" if within else b"false")
+                         for k, computed, oracle, error, bound, within in rows])
+    text = (b",".join(map(_REPORT_EVENT.__mod__, rows)) + (b"\n  " if rows else b"")
+            + _REPORT_TAIL % (summary.max_abs_error, summary.mean_spacing))
+    for spelling, json_spelling in _JSON_SPELLINGS:
+        text = text.replace(spelling, json_spelling)
+    report.write(text)
 
 
-def _open_snapshot_sink(cells: int, width: int, file):
-    """The sink of snapshots.csv (see ``StreamWriter``) of a grid of J =
-    ``cells`` cells, the one printer of its rows.  A record is a
-    snapshot's width - 1 values, then its time: the whole field U_0..U_J,
-    or, when those are at most J, its mirror half U_0..U_{J//2}, whose
-    node j prints value min(j, J - j).  Each value is formatted once, by
-    one ``%`` of an ``%.10f`` template, and a snapshot's J + 1 rows are
-    laid out by one ``%`` of a byte template, every x_j filled in.
+def _open_snapshot_sink(cells: int, file):
+    """``add(values, time)``, the one printer of snapshots.csv rows of a
+    grid of J = ``cells`` cells: it prints the snapshot of ``values`` at
+    ``time``.  ``values`` is the whole field U_0..U_J, or, when they are
+    at most J, its mirror half U_0..U_{J//2}, whose node j prints value
+    min(j, J - j).  Each value is formatted once, by one ``%`` of an
+    ``%.10f`` template, and a snapshot's J + 1 rows are laid out by one
+    ``%`` of a byte template, every x_j filled in.
 
-    Templates and node map are built on the first non-empty batch: every
-    run opens the sink, and at stride 0 an in-process writer still adds
-    an empty batch when it closes, while J may be close to
-    ``sys.maxsize``.  Such a run must fail at once, out of memory, when
-    it allocates its field; building them earlier would hang it."""
-    count = width - 1
-    half, built = count <= cells, []
+    Half or whole, templates and node map are fixed on the first call:
+    every run opens the sink, while J may be close to ``sys.maxsize``.
+    Such a run must fail at once, out of memory, when it allocates its
+    field; building them earlier would hang it."""
+    template = nodes = rows = None
+    write = file.write
 
-    def add(batch) -> None:
-        if not batch:
-            return
-        if not built:
+    def add(values, time: float) -> None:
+        nonlocal template, nodes, rows
+        if template is None:
             # one row per node: the snapshot time is joined in front of
             # each row, then x_j, then a slot for u_j
-            built.extend([b",".join([b"%.10f"] * count),
-                          itemgetter(*(min(j, cells - j) if half else j for j in range(cells + 1))),
-                          [b"", *(b",%.10f,%%s\n" % (j / cells) for j in range(cells + 1))]])
-        template, nodes, rows = built
-        file.writelines((b"%.10f" % batch[i + count]).join(rows)
-                        % nodes((template % tuple(batch[i:i + count])).split(b","))
-                        for i in range(0, len(batch), width))
+            half = len(values) <= cells
+            template = b",".join([b"%.10f"] * len(values))
+            nodes = itemgetter(*(min(j, cells - j) if half else j for j in range(cells + 1)))
+            rows = [b"", *(b",%.10f,%%s\n" % (j / cells) for j in range(cells + 1))]
+        write((b"%.10f" % time).join(rows) % nodes((template % tuple(values)).split(b",")))
 
-    return add, lambda: None
-
-
-def _open_switch_sink(control: ControlConfig, stages, switches, report):
-    """The sink of switches.csv and report.json (see ``StreamWriter``); a
-    record is the index and time of a switch detected on the time grid of
-    ``stages``.  Each chunk is paired with its closed-form times
-    in one pass and written at once; the summary follows the last one."""
-    write, rows = _switch_writer(switches, report), []
-
-    def add(batch) -> None:
-        chunk = [pair_switch(int(batch[i]), batch[i + 1], control, stages) for i in range(0, len(batch), 2)]
-        rows.extend(chunk)
-        write(chunk)
-
-    return add, lambda: write((), error_report(rows))
-
-
-class StreamWriter:
-    """Output files of one run, written one record of ``width`` floats at
-    a time while the run steps.
-
-    ``sink`` is the ``(add, finish)`` the caller opened on ``files``, open
-    binary files.  They are flushed here, so that a forked helper inherits
-    no buffered bytes, which both processes would write.  ``add(batch)``
-    writes an ``array('d')`` of whole records, and ``finish()`` what
-    follows the last one.  ``add(record)`` takes a list of floats into
-    such an array and passes on the whole records that fit in ``chunk``
-    bytes at once.  With ``stream``, a forked helper process inherits the
-    sink and the files: the chunks are piped to it as float64, and it
-    writes them as they come, then closes its copies.  Otherwise, or when
-    the fork fails, they go to the sink in-process.  The caller closes its
-    copies after ``close``.  Close writers last created first, since a
-    helper holds the pipes of the writers created before it: a helper
-    whose pipe stays open never exits.
-    """
-
-    def __init__(self, files: list, sink: tuple, width: int, chunk: int, stream: bool) -> None:
-        self.files, (self.write, self.finish) = files, sink
-        self.records, self.batch = array("d"), width * max(1, chunk // (8 * width))
-        for file in files:
-            file.flush()
-        self.pid = self._fork() if stream else 0
-
-    def _fork(self) -> int:
-        """Fork the helper and return its pid, or 0 if the fork failed."""
-        pipe = ()
-        try:
-            pipe = os.pipe()
-            pid = os.fork()
-        except OSError as exc:  # e.g. EMFILE or EAGAIN at a process limit
-            for fd in pipe:
-                os.close(fd)
-            _info("cannot fork a helper (%s); writing %s in-process", exc, self._names())
-            return 0
-        read_end, write_end = pipe
-        if not pid:
-            os.close(write_end)  # else the pipe would never close
-            self._serve(read_end)
-        os.close(read_end)
-        self.pipe = open(write_end, "wb", buffering=8 * self.batch)
-        self.write = self.pipe.write
-        return pid
-
-    def _serve(self, pipe: int) -> None:
-        """The helper process: pass the records from the pipe, a chunk at a
-        time, to the sink, and close its own files, none of the others it
-        inherited.  Exits 0, an OSError's errno, or 255 otherwise."""
-        code = 255
-        try:
-            with open(pipe, "rb") as records:
-                while data := records.read(8 * self.batch):
-                    self.write(array("d", data))
-                self.finish()
-            for file in self.files:
-                file.close()
-            code = 0
-        except OSError as exc:
-            code = exc.errno or 255
-        finally:
-            os._exit(code)
-
-    def add(self, record: list[float]) -> None:
-        records = self.records
-        records.fromlist(record)  # faster than extend, or a new array per record
-        if len(records) >= self.batch:
-            self.write(records)
-            del records[:]
-
-    def _names(self) -> str:
-        return ", ".join(file.name for file in self.files)
-
-    def end(self) -> None:
-        """Send the helper the last records and close its pipe."""
-        try:
-            with self.pipe:
-                self.pipe.write(self.records)
-        except BrokenPipeError:  # the helper stopped early; its status says why
-            pass
-
-    def close(self) -> None:
-        """Complete the files: finish them here, or end the input and wait
-        for the helper.  OSError if a record was not written."""
-        if not self.pid:
-            self.write(self.records)
-            self.finish()
-            return
-        self.end()
-        _, status, usage = os.wait4(self.pid, 0)
-        cpu = usage.ru_utime + usage.ru_stime
-        _info("helper %d wrote %s in %.3f s of CPU", self.pid, self._names(), cpu)
-        code = os.waitstatus_to_exitcode(status)
-        if 0 < code < 255:
-            raise OSError(code, os.strerror(code))
-        if code:
-            raise OSError(f"{self._names()}: the helper writing it exited with status {code}")
+    return add
 
 
 def _discard(paths: list):
@@ -375,16 +236,15 @@ def _discard(paths: list):
 def _create(stack: ExitStack, out: Path, headers: dict[str, bytes] = OUTPUTS) -> list:
     """Make ``out`` and open the files ``headers`` names (a run's, sweep's
     or compare's) for writing, in that order, on ``stack``, each buffered
-    by _SNAPSHOT_CHUNK bytes, so that snapshot rows of about 2 KB go out
-    in fewer writes than by 8 KiB.  Each header is written and flushed as
-    its file opens, so a file that cannot take it fails before any row is
-    made.  Beneath them goes a ``_discard`` of them: if the stack unwinds
-    with an error, every file opened here goes."""
+    by _BUFFER bytes.  Each header is written and flushed as its file
+    opens, so a file that cannot take it fails before any row is made.
+    Beneath them goes a ``_discard`` of them: if the stack unwinds with
+    an error, every file opened here goes."""
     out.mkdir(parents=True, exist_ok=True)
     paths, files = [], []
     stack.push(_discard(paths))
     for name, header in headers.items():
-        file = stack.enter_context((out / name).open("wb", buffering=_SNAPSHOT_CHUNK))
+        file = stack.enter_context((out / name).open("wb", buffering=_BUFFER))
         paths.append(out / name)
         file.write(header)
         file.flush()
@@ -392,8 +252,8 @@ def _create(stack: ExitStack, out: Path, headers: dict[str, bytes] = OUTPUTS) ->
     return files
 
 
-def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | str,
-                 streamed: tuple[ExitStack, object] | None = None) -> list[Path]:
+def emit_outputs(traj: Trajectory, report: ErrorReport, out_dir: Path | str,
+                 opened: tuple[ExitStack, list] | None = None) -> list[Path]:
     """Write switches.csv, mass.csv, snapshots.csv and report.json.
 
     Times, masses and field values are printed with 10 decimal places and
@@ -402,31 +262,31 @@ def emit_outputs(traj: Trajectory, report: ErrorReport | None, out_dir: Path | s
     over its rows, never joined whole in memory.  Files are binary, so
     every line ends in a bare newline on every platform.
 
-    ``streamed`` is ``(stack, mass_csv)``: the ``ExitStack`` on which
-    ``_create`` opened the four files and the run's ``StreamWriter``s
-    registered their closes, and mass.csv; ``report`` is then None.  The
-    stack unwinds once mass.csv is written, so the writers close.  Without
-    ``streamed``, ``_create`` opens the files here, and the trajectory's
-    snapshots and ``report``'s rows and summary are written by the same
-    snapshot sink and switch writer.  All snapshots must share one
-    spatial grid of at least two nodes, as those of one run do:
-    ValueError otherwise, before any file is opened.  Raises OSError on
-    unwritable paths.  If anything fails, none of the four files is left.
+    ``opened`` is ``(stack, files)``: the ``ExitStack`` on which
+    ``_create`` opened the four files, and those files, into which the
+    run has already printed its snapshots; the stack unwinds once the
+    rest is written.  Without ``opened``, ``_create`` opens the files
+    here, and the trajectory's snapshots are printed by the same
+    snapshot sink.  All snapshots must share one spatial grid of at
+    least two nodes, as those of one run do: ValueError otherwise, before
+    any file is opened.  Raises OSError on unwritable paths.  If anything
+    fails, none of the four files is left.
     """
     out = Path(out_dir)
-    stack, mass_csv = streamed or (ExitStack(), None)
+    stack, files = opened or (ExitStack(), None)
     with stack:
-        if mass_csv is None:
+        if files is None:
             nodes = len(traj.snapshots[0].values) if traj.snapshots else 0
             if any(len(snap.values) != nodes for snap in traj.snapshots):
                 raise ValueError("all snapshots must share one spatial grid")
             if nodes == 1:
                 raise ValueError("a snapshot needs at least two nodes, the grid's ends")
-            switches, mass_csv, snapshots, entries = _create(stack, out)
-            add, _ = _open_snapshot_sink(nodes - 1, nodes + 1, snapshots)
+            files = _create(stack, out)
+            add = _open_snapshot_sink(nodes - 1, files[2])
             for values, time in traj.snapshots:
-                add([*values, time])
-            _switch_writer(switches, entries)(report.events, report)
+                add(values, time)
+        switches, mass_csv, _, entries = files
+        _switch_writer(switches, entries, report)
         mass_csv.writelines(map(b"%.10f,%.10f,%d\n".__mod__, zip(traj.times, traj.masses, traj.fluxes)))
     written = [out / name for name in OUTPUTS]
     _info("wrote %s", ", ".join(str(p) for p in written))
@@ -451,35 +311,17 @@ def _load_mapping(config_path: str, overrides: list[str] | None) -> dict:
 
 
 def _run_and_emit(run_config: RunConfig, out: Path | str) -> Trajectory:
-    """Run and emit the four files.  All four are opened, and their
-    headers written, first, so an unwritable one fails before the first
-    step.  The rows of all but mass.csv are written by their sinks while
-    the run steps, each switch paired with its closed-form time as it
-    comes, and each snapshot as the run's mirror half U_0..U_{J//2}.
-    Here alone it is decided which sink a helper process takes: given a
-    second usable CPU, the snapshot sink when the run takes a snapshot,
-    and the switch sink when at least STREAM_SWITCHES closed-form
-    switches lie up to the horizon; the CLI process writes the rest.  It
-    closes every file it opened once the helpers are reaped, the switch
-    helper first, since it holds the snapshot pipe.  A failed run or emit
-    leaves none of the four files."""
+    """Run and emit the four files, all in this process.  All four are
+    opened, and their headers written, first, so an unwritable one fails
+    before the first step.  Each snapshot is printed as the run takes it,
+    as the run's mirror half U_0..U_{J//2}.  Once the run ends, its
+    switches are paired with their closed-form times and written, and so
+    is mass.csv.  A failed run or emit leaves none of the four files."""
     out = Path(out)
-    control, grid, _, mode, stride = run_config
-    stages = mode.stages(control)
-    spare = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1  # a second usable CPU
     with ExitStack() as stack:
-        switches_csv, mass_csv, snapshots_csv, report_json = _create(stack, out)
-        width = grid.cells // 2 + 2
-        snapshots = StreamWriter([snapshots_csv], _open_snapshot_sink(grid.cells, width, snapshots_csv), width,
-                                 _SNAPSHOT_CHUNK, 0 < stride <= sum(stage.steps for stage in stages) and spare)
-        stack.callback(snapshots.close)
-        files = [switches_csv, report_json]
-        switches = StreamWriter(files, _open_switch_sink(control, stages, *files), 2, _SWITCH_CHUNK,
-                                spare and switch_count(control, STREAM_SWITCHES) >= STREAM_SWITCHES)
-        stack.callback(switches.close)  # closed first: its helper holds the snapshot pipe
-        traj = run(run_config, lambda values, time: snapshots.add([*values, time]),
-                   lambda event: switches.add([event.index, event.time]))
-        emit_outputs(traj, None, out, (stack.pop_all(), mass_csv))
+        files = _create(stack, out)
+        traj = run(run_config, _open_snapshot_sink(run_config.grid.cells, files[2]))
+        emit_outputs(traj, compare_with_oracle(traj, run_config), out, (stack.pop_all(), files))
     return traj
 
 

@@ -17,8 +17,8 @@ and the second uses dt sized so it lands exactly on the opposite
 threshold every ``stage_steps`` steps.  The detected switch times then
 coincide with the closed-form ones at any threshold size and horizon.
 
-``pair_switch`` pairs a detected switch with its closed-form time and
-checks the per-switch error bound
+``compare_with_oracle`` pairs each detected switch with its closed-form
+time and checks the per-switch error bound
 -STEP_SLACK * dt <= error < k * dt, which fixed grids can miss.
 """
 
@@ -197,7 +197,7 @@ class ErrorReport(namedtuple("ErrorReport", "events max_abs_error mean_spacing")
     __slots__ = ()
 
 
-def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
+def run(config: RunConfig, on_snapshot=None) -> Trajectory:
     """Step from the zero field through every stage of the time grid,
     ``config.mode.stages(config.control)``, which ``RunConfig`` checked.
 
@@ -217,11 +217,9 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
     Every ``snapshot_stride`` steps, ``on_snapshot(values, time)`` gets
     the state U_0..U_h, a new list each step, which a sink may keep; by
     default the whole fields U_0..U_J, mirrored from it, are the returned
-    ``snapshots``, empty when a sink is given.  Each ``SwitchEvent`` goes
-    to ``on_switch(event)``, if given, as soon as the relay appends it;
-    the returned ``events`` hold every one either way.  With debug
-    logging on, each switch is logged as it is appended: its index, time,
-    mass and overshoot past the threshold it crossed.  Nothing is logged
+    ``snapshots``, empty when a sink is given.  With debug logging on,
+    each switch is logged as the relay appends it: its index, time, mass
+    and overshoot past the threshold it crossed.  Nothing is logged
     unless ``logging`` is imported (see ``cli.main``).
     """
     control, grid, quadrature, mode, stride = config
@@ -264,48 +262,36 @@ def run(config: RunConfig, on_snapshot=None, on_switch=None) -> Trajectory:
                 on_snapshot(values, time)
             last = flux
             flux = observe(events, mu, time, control, window)
-            if flux is not last:  # a flip is an appended switch
-                if debug:
-                    overshoot = mu - control.upper if len(events) % 2 else control.lower - mu
-                    log.debug("switch %d at t=%r: mass %r, overshoot %r", len(events), time, mu, overshoot)
-                if on_switch is not None:
-                    on_switch(events[-1])
+            if debug and flux is not last:  # a flip is an appended switch
+                overshoot = mu - control.upper if len(events) % 2 else control.lower - mu
+                log.debug("switch %d at t=%r: mass %r, overshoot %r", len(events), time, mu, overshoot)
 
     if log:
         log.info("run: %d steps in %d stages, %d switches", n, len(stages), len(events))
     return Trajectory(times, masses, fluxes, tuple(snapshots), tuple(events))
 
 
-def pair_switch(index: int, time: float, control: ControlConfig, stages: tuple[Stage, ...]) -> EventError:
-    """The ``EventError`` of switch ``index`` detected at ``time`` on the
-    time grid of ``stages``, in whatever order switches are paired.  It
-    is within bound when -STEP_SLACK * dt <= error < k * dt, with dt the
-    step that detected it: that of the first stage ending at or after
-    ``time``, or of the last stage.  A switch detected before its
-    closed-form time, including one whose closed-form time lies past the
-    horizon, has a negative error and is reported out of bound.
+def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
+    """Pair each detected switch with its closed-form time.  Switch k is
+    within bound when -STEP_SLACK * dt <= error < k * dt, with dt the step
+    that detected it: that of the first stage ending at or after its
+    time, or of the last stage.  A switch detected before its closed-form
+    time, including one whose closed-form time lies past the horizon, has
+    a negative error and is reported out of bound.
     """
-    for stage in stages:
-        if time <= stage.end:
-            break
-    dt = stage.dt
-    oracle_time = analytic.switch_time(index, control)
-    bound = index * dt
-    error = time - oracle_time
-    return EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound)
-
-
-def error_report(rows) -> ErrorReport:
-    """The ``ErrorReport`` of paired switches given in ascending time."""
-    rows = tuple(rows)
+    control = run_config.control
+    stages = run_config.mode.stages(control)
+    rows = []
+    for index, time, _ in traj.events:
+        for stage in stages:
+            if time <= stage.end:
+                break
+        dt = stage.dt
+        oracle_time = analytic.switch_time(index, control)
+        bound = index * dt
+        error = time - oracle_time
+        rows.append(EventError(index, time, oracle_time, error, bound, -STEP_SLACK * dt <= error < bound))
     max_abs_error = max(abs(r.error) for r in rows) if rows else None
     spacings = [b.computed_time - a.computed_time for a, b in pairwise(rows)]
     mean_spacing = _fsum(spacings) / len(spacings) if spacings else None
-    return ErrorReport(events=rows, max_abs_error=max_abs_error, mean_spacing=mean_spacing)
-
-
-def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
-    """Pair each detected switch with its closed-form time (``pair_switch``)."""
-    control = run_config.control
-    stages = run_config.mode.stages(control)
-    return error_report([pair_switch(index, time, control, stages) for index, time, _ in traj.events])
+    return ErrorReport(events=tuple(rows), max_abs_error=max_abs_error, mean_spacing=mean_spacing)

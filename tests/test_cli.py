@@ -1,12 +1,10 @@
 import csv
 import errno
-import io
 import json
 import logging
 import math
 import os
 import re
-import signal
 import subprocess
 import sys
 import time
@@ -19,19 +17,16 @@ import pytest
 
 import massgate
 from massgate.cli import (
-    STREAM_SWITCHES,
     ConfigError,
     _json_object,
     _log_level,
-    _open_switch_sink,
     _run_and_emit,
-    StreamWriter,
     config_from_mapping,
     config_to_mapping,
     emit_outputs,
     main,
 )
-from massgate.analytic import switch_count, switch_time
+from massgate.analytic import switch_time
 from massgate.quadrature import QuadratureKind
 from massgate.runner import (
     AdaptiveGrid,
@@ -57,30 +52,26 @@ ADAPTIVE = {
     "Nstage": 5,
 }
 
-# Past STREAM_SWITCHES closed-form switches: 499 and 449 of them.
+# Event-dense: 499 and 449 closed-form switches up to the horizon.
 DENSE_ADAPTIVE = {**ADAPTIVE, "horizon": 25.0}
 DENSE_FIXED = {**REFERENCE, "J": 10, "N": 9000, "horizon": 450}
 OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
 
 
+# One process writes every file, so neither the usable CPUs nor a fork
+# that fails may change what a run writes or how it fails; the tests
+# parametrized over ``cpus`` and ``fork_fails`` hold that.
 def use_cpus(monkeypatch, count):
     """Make os.sched_getaffinity report ``count`` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
-def count_forks(monkeypatch):
-    """Patch os.fork to record the pid of each helper forked; returns the list."""
-    helpers = []
-    fork = os.fork
+def fail_fork(monkeypatch):
+    """Make os.fork fail as it does at the process limit."""
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
-    def counting_fork():
-        pid = fork()
-        if pid:
-            helpers.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    return helpers
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def count_steps(monkeypatch):
@@ -94,14 +85,6 @@ def count_steps(monkeypatch):
 
     monkeypatch.setattr(massgate.runner, "step", counted_step)
     return steps
-
-
-def fail_fork(monkeypatch):
-    """Make os.fork fail as it does at the process limit."""
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
 
 
 def in_process_outputs(mapping, out):
@@ -268,8 +251,8 @@ def test_largest_indexable_size_is_out_of_memory(tmp_path, capsys, key):
         pytest.param({**ADAPTIVE, "m": 1e-300, "M": 2e-300, "horizon": 1e10, "N0": 1}, id="infinite-count"),
     ],
 )
-def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, monkeypatch, raw):
-    assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, "horizon")
+def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys, raw):
+    assert_schedule_refused_before_any_output(tmp_path, capsys, raw, "horizon")
 
 
 @pytest.mark.parametrize(
@@ -279,32 +262,23 @@ def test_adaptive_step_count_past_a_machine_index_names_horizon(tmp_path, capsys
         pytest.param({**ADAPTIVE, "M": 1e308, "horizon": 1.7e308, "N0": 1}, id="adaptive-climb"),
     ],
 )
-def test_non_finite_diffusion_number_names_alpha(tmp_path, capsys, monkeypatch, raw):
-    assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, "alpha")
+def test_non_finite_diffusion_number_names_alpha(tmp_path, capsys, raw):
+    assert_schedule_refused_before_any_output(tmp_path, capsys, raw, "alpha")
 
 
-def assert_schedule_refused_before_any_output(tmp_path, capsys, monkeypatch, raw, key):
+def assert_schedule_refused_before_any_output(tmp_path, capsys, raw, key):
     """Building the config refuses its time grid with a ConfigError on
     ``key``, and ``massgate run`` prints the one-line diagnostic before
-    any output is opened or helper forked."""
+    any output is opened."""
     with pytest.raises(ConfigError) as excinfo:
         run(config_from_mapping(raw))
     assert excinfo.value.key == key
-    use_cpus(monkeypatch, 2)
-    forks = []
-
-    def refused_fork():
-        forks.append(None)
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", refused_fork)
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, raw)), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"massgate: config error: {key}:")
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
-    assert forks == []
 
 
 @pytest.mark.parametrize("key", ["m", "M", "alpha", "horizon", "J", "N"])
@@ -495,8 +469,7 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("stride, cpus", [(0, 2), (1, 1), (1, 2)])
 def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpus):
-    # the CLI process meets the full disk when it flushes the header,
-    # before any helper is forked
+    # the full disk fails the header's flush, before the first step
     use_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     out.mkdir()
@@ -506,74 +479,29 @@ def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpu
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
 
-def broken_sink(marker, error=None):
-    """A stand-in for ``_open_snapshot_sink`` or ``_open_switch_sink``
-    whose ``add`` touches ``marker`` on its first non-empty batch, then
-    raises ``error``, a RuntimeError by default: a helper is a fork, so
-    the marker shows that the printer itself failed."""
-    def open_sink(*args):
-        def add(batch):
-            if len(batch):
-                marker.touch()
-                raise error or RuntimeError("printer broke")
-        return add, lambda: None
-    return open_sink
+def out_of_space(marker):
+    """A printer that touches ``marker``, to show that it ran, then fails
+    as on a full disk."""
+    def fail(*args):
+        marker.touch()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    return fail
 
 
-def test_cli_failed_snapshot_formatter_is_an_io_error_naming_the_file(tmp_path, capsys, monkeypatch):
-    marker = tmp_path / "printed"
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_sink(marker))
-    out = tmp_path / "out"
-    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("massgate: io error: ")
-    assert str(out / "snapshots.csv") in err
-    assert len(err.strip().splitlines()) == 1
-    assert marker.exists()
-
-
-def test_cli_helper_dying_mid_run_is_one_io_error_and_leaves_no_file(tmp_path, capsys, monkeypatch):
-    # 2000 snapshots of 27 floats fill 6 chunks of 303 and part of a 7th:
-    # the run writes to the pipe after the helper died on the first, and
-    # so does end()
-    marker, raised = tmp_path / "printed", []
-
-    def trace(frame, event, arg):  # the exceptions raised in StreamWriter.end, caught or not
-        if event == "exception":
-            raised.append(arg[0])
-        return trace if frame.f_code is StreamWriter.end.__code__ else None
-
-    use_cpus(monkeypatch, 2)
-    monkeypatch.setattr("massgate.cli._open_snapshot_sink", broken_sink(marker))
-    out = tmp_path / "out"
-    config_path = write_config(tmp_path, {**REFERENCE, "N": 2000, "snapshot_stride": 1})
-    sys.settrace(trace)
-    try:
-        code = main(["run", "--config", str(config_path), "--out", str(out)])
-    finally:
-        sys.settrace(None)
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err == f"massgate: io error: {out / 'snapshots.csv'}: the helper writing it exited with status 255\n"
-    assert marker.exists()
-    assert list(out.iterdir()) == []
-    assert set(raised) == {BrokenPipeError}  # swallowed: the helper's status is what is reported
-
-
-@pytest.mark.parametrize("sink, mapping", [("_open_snapshot_sink", {**REFERENCE, "N": 2000, "snapshot_stride": 1}),
-                                           ("_open_switch_sink", DENSE_ADAPTIVE)], ids=["snapshots", "switches"])
+@pytest.mark.parametrize("sink, mapping", [("_open_snapshot_sink", {**REFERENCE, "snapshot_stride": 1}),
+                                           ("_switch_writer", DENSE_ADAPTIVE)], ids=["snapshots", "switches"])
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys, monkeypatch, cpus, fork_fails,
                                                                 sink, mapping):
-    # in a helper, the OSError becomes its exit status, which the CLI
-    # process raises again as the same errno when it reaps it
-    marker, full = tmp_path / "printed", OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    # the snapshot printer fails during the run, the switch writer after
+    # it: either way the errno is reported once and no file is left
     use_cpus(monkeypatch, cpus)
     if fork_fails:
         fail_fork(monkeypatch)
-    monkeypatch.setattr(f"massgate.cli.{sink}", broken_sink(marker, full))
+    marker = tmp_path / "printed"
+    fail = out_of_space(marker)
+    # the snapshot sink is opened before the run and fails at its first snapshot
+    monkeypatch.setattr(f"massgate.cli.{sink}", (lambda *args: fail) if sink == "_open_snapshot_sink" else fail)
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
@@ -585,50 +513,29 @@ def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys
 @pytest.mark.parametrize("cells", [2, 3, 50, 51])
 def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch, cells, cpus):
     use_cpus(monkeypatch, cpus)
-    widths = {}
+    widths = []
+    open_sink = massgate.cli._open_snapshot_sink
 
-    class RecordingWriter(StreamWriter):
-        def __init__(self, files, open_sink, width, chunk, stream):
-            widths[Path(files[0].name).name] = width
-            super().__init__(files, open_sink, width, chunk, stream)
+    def recording_sink(cells, file):
+        add = open_sink(cells, file)
 
-    monkeypatch.setattr("massgate.cli.StreamWriter", RecordingWriter)
+        def recording_add(values, time):
+            widths.append(len(values))
+            add(values, time)
+
+        return recording_add
+
+    monkeypatch.setattr("massgate.cli._open_snapshot_sink", recording_sink)
     mapping = {**REFERENCE, "J": cells, "N": 50, "snapshot_stride": 1}
     _run_and_emit(config_from_mapping(mapping), tmp_path / "out")
-    assert widths == {"snapshots.csv": cells // 2 + 2, "switches.csv": 2}
+    assert widths == [cells // 2 + 1] * 50
     expected = in_process_outputs(mapping, tmp_path / "expected")
     assert {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS} == expected
-
-
-def test_cli_run_forks_one_helper_only_when_recording_snapshots(tmp_path, capsys, monkeypatch):
-    use_cpus(monkeypatch, 2)
-    helpers = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            helpers.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counting_fork)
-    cases = [({**REFERENCE, "snapshot_stride": 1}, 1), ({**REFERENCE, "snapshot_stride": 0}, 0),
-             (ADAPTIVE, 0), ({**ADAPTIVE, "snapshot_stride": 2}, 1), ({**REFERENCE, "snapshot_stride": 201}, 0)]
-    for config, forks in cases:
-        helpers.clear()
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
-        assert len(helpers) == forks, config
-        for pid in helpers:  # already reaped
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails):
     mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 7}
-    assert switch_count(config_from_mapping(mapping).control, STREAM_SWITCHES) >= STREAM_SWITCHES
     expected = in_process_outputs(mapping, tmp_path / "expected")
     use_cpus(monkeypatch, cpus)
     if fork_fails:
@@ -657,22 +564,6 @@ def test_event_dense_compare_matches_on_one_and_two_cpus(tmp_path, capsys, monke
     assert compared[0] == compared[1]
     reports = {kind: json.loads(files["report.json"]) for kind, files in expected.items()}
     assert json.loads(compared[0]) == reports
-
-
-def test_cli_forks_a_switch_helper_only_for_event_dense_runs(tmp_path, capsys, monkeypatch):
-    use_cpus(monkeypatch, 2)
-    helpers = count_forks(monkeypatch)
-    cases = [(DENSE_ADAPTIVE, 1), (DENSE_FIXED, 1), ({**DENSE_ADAPTIVE, "snapshot_stride": 3}, 2),
-             (REFERENCE, 0), (ADAPTIVE, 0)]
-    for config, forks in cases:
-        helpers.clear()
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)]) == 0
-        assert len(helpers) == forks, config
-        for pid in helpers:  # already reaped
-            with pytest.raises(ChildProcessError):
-                os.waitpid(pid, os.WNOHANG)
-    capsys.readouterr()
 
 
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
@@ -712,7 +603,7 @@ def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsy
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
 
-# A switch every 2 steps, 48 steps up to the horizon, below STREAM_SWITCHES.
+# A switch every 2 steps, 48 steps up to the horizon.
 SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 50, "mode": "adaptive", "N0": 2,
                         "Nstage": 2}
 
@@ -721,8 +612,7 @@ SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 5
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, cpus, fork_fails,
                                                                   blocked, stride):
-    # the CLI process writes and flushes every streamed header before it
-    # forks a helper or steps
+    # every header is written and flushed before the first step
     use_cpus(monkeypatch, cpus)
     if fork_fails:
         fail_fork(monkeypatch)
@@ -737,42 +627,6 @@ def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, caps
     assert list(out.iterdir()) == []
 
 
-def test_cli_run_with_both_helpers_exits_and_writes_the_post_run_bytes(tmp_path):
-    # the switch helper holds the snapshot pipe, so closing the snapshot
-    # writer first would hang the run; in its own session, a run that
-    # outlives the timeout is killed with both helpers
-    mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 5}
-    out = tmp_path / "out"
-    script = ("import os, sys; os.sched_getaffinity = lambda pid: {0, 1}; "
-              "import massgate.cli; sys.exit(massgate.cli.main(sys.argv[1:]))")
-    src = str(Path(massgate.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "MASSGATE_LOG": "info"}
-    argv = [sys.executable, "-c", script, "run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]
-    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                          start_new_session=True) as child:
-        try:
-            _, err = child.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(child.pid, signal.SIGKILL)
-            child.communicate()
-            pytest.fail("massgate run with both helpers did not exit within 60 s")
-    assert child.returncode == 0, err
-    assert len(re.findall(r"^INFO massgate\.cli: helper \d+ wrote ", err, re.MULTILINE)) == 2, err
-    expected = in_process_outputs(mapping, tmp_path / "expected")
-    assert {name: (out / name).read_bytes() for name in OUTPUTS} == expected
-
-
-def test_streamed_run_logs_each_helper_cpu_time(tmp_path, caplog, monkeypatch):
-    use_cpus(monkeypatch, 2)
-    caplog.set_level(logging.INFO, logger="massgate.cli")
-    _run_and_emit(config_from_mapping({**DENSE_ADAPTIVE, "snapshot_stride": 5}), tmp_path)
-    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("helper ")]
-    cpu = r"in \d+\.\d{3} s of CPU"
-    assert len(lines) == 2
-    assert re.fullmatch(rf"helper \d+ wrote \S+/switches\.csv, \S+/report\.json {cpu}", lines[0])
-    assert re.fullmatch(rf"helper \d+ wrote \S+/snapshots\.csv {cpu}", lines[1])
-
-
 def test_cli_module_logs_under_massgate_names(tmp_path):
     # run as a module, the CLI is __main__, which must not name its records
     config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
@@ -783,35 +637,6 @@ def test_cli_module_logs_under_massgate_names(tmp_path):
     assert result.returncode == 0, result.stderr
     names = [line.split()[1] for line in result.stderr.splitlines() if line.startswith("INFO ")]
     assert names and all(name.startswith("massgate.") for name in names), result.stderr
-
-
-@pytest.mark.parametrize(
-    "mapping, count",
-    [
-        pytest.param({"m": 1.0, "M": 5.0, "alpha": 0.05, "horizon": 10, "J": 10, "N": 1}, 0, id="0"),
-        pytest.param({**REFERENCE, "horizon": 2.5, "N": 50}, 1, id="1"),
-        pytest.param({**REFERENCE, "horizon": 3.5, "N": 70}, 2, id="2"),
-        pytest.param(DENSE_ADAPTIVE, 499, id="499"),
-    ],
-)
-def test_switch_sink_writes_the_post_run_bytes_in_chunks_of_any_size(tmp_path, mapping, count):
-    # where a chunked writer can slip: the comma before each entry but the
-    # first, and the newline before the summary only after some entry
-    run_config = config_from_mapping(mapping)
-    traj = run(run_config)
-    assert len(traj.events) == count
-    emit_outputs(traj, compare_with_oracle(traj, run_config), tmp_path)
-    expected = [(tmp_path / name).read_bytes() for name in ("switches.csv", "report.json")]
-    records = array("d", [value for event in traj.events for value in (event.index, event.time)])
-    for switches in (1, 2, 256, max(1, count)):
-        files = io.BytesIO(), io.BytesIO()
-        for file, name in zip(files, ("switches.csv", "report.json")):
-            file.write(massgate.cli.OUTPUTS[name])  # the headers, as _create writes them
-        add, finish = _open_switch_sink(run_config.control, run_config.mode.stages(run_config.control), *files)
-        for i in range(0, len(records), 2 * switches):
-            add(records[i:i + 2 * switches])
-        finish()
-        assert [f.getvalue() for f in files] == expected, switches
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="restricts this process's CPU affinity")
@@ -832,15 +657,46 @@ def test_run_and_emit_writes_the_post_run_bytes(tmp_path, monkeypatch, mapping, 
         fail_fork(monkeypatch)
         _run_and_emit(run_config, out)
     else:  # only this process is restricted, to one of its CPUs
-        helpers, cpus = count_forks(monkeypatch), os.sched_getaffinity(0)
+        cpus = os.sched_getaffinity(0)
         os.sched_setaffinity(0, {min(cpus)})
         try:
             _run_and_emit(run_config, out)
         finally:
             os.sched_setaffinity(0, cpus)
-        assert helpers == []
     for name, data in expected.items():
         assert (out / name).read_bytes() == data, name
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        *(pytest.param(json.loads((GOLDEN / case / "config.json").read_text()), id=case)
+          for case in sorted(path.name for path in GOLDEN.iterdir())),
+        pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive"),
+    ],
+)
+def test_cli_run_and_compare_fork_nothing(tmp_path, capsys, monkeypatch, mapping):
+    forks = []
+
+    def no_fork():
+        forks.append(None)
+        pytest.fail("forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    config_path, out = write_config(tmp_path, mapping), tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+    assert {name: (out / name).read_bytes() for name in OUTPUTS} == expected
+    if mapping.get("mode", "fixed") == "fixed":  # compare runs fixed configs only
+        assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "compare")]) == 0
+        for kind in ("riemann", "trapezoid"):
+            expected = in_process_outputs({**mapping, "quadrature": kind}, tmp_path / f"expected-{kind}")
+            assert {name: (tmp_path / "compare" / kind / name).read_bytes() for name in OUTPUTS} == expected, kind
+    capsys.readouterr()
+    assert forks == []
 
 
 def test_sweep_holds_no_snapshots(tmp_path, capsys):
@@ -1278,9 +1134,8 @@ def test_adaptive_cli_run_stops_at_the_horizon_as_oracle_does(tmp_path, capsys):
 @pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
 @pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
 def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):
-    # mass.csv fails when it is opened, before the run; with a helper, the
-    # full disk under switches.csv surfaces only when its writer closes,
-    # after mass.csv, which is then removed as well
+    # mass.csv fails when it is opened, and the full disk under
+    # switches.csv when its header is flushed, both before the run
     use_cpus(monkeypatch, cpus)
     if fork_fails:
         fail_fork(monkeypatch)

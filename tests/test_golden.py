@@ -9,10 +9,9 @@ goes negative during outflow and whose `bound` values have long reprs.
 data/compare/reference.json is the compare.json that `massgate compare`
 wrote for the reference case.
 
-Every case records snapshots.  On a machine with a second usable CPU a
-helper process formats them while the run steps; the one-CPU variants
-pin the in-process path to the same bytes, and the failed-fork variants
-the fallback to it.
+Every case records snapshots, which the run prints as it steps.  The
+one-CPU and failed-fork variants hold that one process writes the same
+bytes whatever CPUs it may use and whether or not it could fork.
 """
 
 import errno
@@ -32,7 +31,7 @@ CASES = sorted(p.name for p in GOLDEN.iterdir())
 
 @pytest.fixture
 def one_cpu(monkeypatch):
-    """One usable CPU, so snapshots.csv is formatted in-process; a fork fails."""
+    """One usable CPU; a fork fails the test."""
     def no_fork():
         raise AssertionError("forked on one CPU")
 
@@ -80,7 +79,7 @@ def test_compare_json_matches_golden_on_one_cpu(tmp_path, capsys, one_cpu):
 def test_run_outputs_match_golden_when_fork_fails(case, tmp_path, capsys, failing_fork):
     descriptors = len(os.listdir("/proc/self/fd"))
     test_run_outputs_match_golden(case, tmp_path, capsys)
-    assert len(os.listdir("/proc/self/fd")) == descriptors  # the pipe's ends are closed
+    assert len(os.listdir("/proc/self/fd")) == descriptors  # every file the run opened is closed
 
 
 def test_compare_json_matches_golden_when_fork_fails(tmp_path, capsys, failing_fork):

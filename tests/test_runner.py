@@ -483,16 +483,6 @@ def test_config_validation():
         )
 
 
-def test_run_hands_each_switch_to_on_switch_as_it_is_appended():
-    cfg = reference_config(QuadratureKind.TRAPEZOID, stride=1)
-    steps, seen = [], []
-    traj = run(cfg, on_snapshot=lambda values, time: steps.append(time),
-               on_switch=lambda event: seen.append((event, len(steps))))
-    assert [event for event, _ in seen] == list(traj.events)
-    # each switch is handed over at the step that detects it, not after the run
-    assert [steps for _, steps in seen] == [round(event.time / 0.05) for event in traj.events]
-
-
 def test_run_logs_each_switch_at_debug_and_checks_the_level_once(caplog, monkeypatch):
     cfg = reference_config(QuadratureKind.TRAPEZOID)
     caplog.set_level(logging.DEBUG, logger="massgate.runner")

@@ -9,17 +9,10 @@ The cases:
   the file `stdout`;
 * `sweep --n-list 50,200,1000` on the reference golden config;
 * `run` on the reference golden config with N=50 and a snapshot at
-  every step, once for each J in `JS`, so that every parity and size of
-  the mirrored snapshot rows is hashed; each twice, as
-  `snapshots-J<J>` with the usable CPUs of the machine, which on two or
-  more gives snapshots.csv to the helper process, and as
-  `snapshots-J<J>-1cpu` with `os.sched_getaffinity` reporting one, so
-  that the CLI process prints it;
+  every step, as `snapshots-J<J>` once for each J in `JS`, so that every
+  parity and size of the mirrored snapshot rows is hashed;
 * `run` on the four perfbench workloads at seeds 0-3, as
-  `perfbench/run.py`'s `workload_config` builds them; snapshot_emit and
-  adaptive_dense, whose snapshots or switches go to a helper process on
-  two or more usable CPUs, also as `<workload>-seed<seed>-1cpu` with one
-  CPU reported, so that the CLI process writes them too;
+  `perfbench/run.py`'s `workload_config` builds them;
 * `run` on a seeded sample of 60 fixed and 60 adaptive configs, with J
   in {2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201}, both quadratures on the
   fixed grid and snapshot strides 0, 1 and 7.
@@ -51,18 +44,15 @@ import hashlib
 import importlib.util
 import io
 import json
-import os
 import random
 import shutil
 import sys
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 JS = (2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201)
 STRIDES = (0, 1, 7)
 SEEDS = range(4)
-HELPER_WORKLOADS = ("snapshot_emit", "adaptive_dense")
 SAMPLE_SEED = 0
 SAMPLE_SIZE = 60
 
@@ -96,9 +86,7 @@ def cases(root: Path):
         yield f"oracle-{name}", ["oracle"], config
     yield "sweep-reference", ["sweep", "--n-list", "50,200,1000"], configs["reference"]
     for cells in JS:
-        config = {**configs["reference"], "J": cells, "N": 50, "snapshot_stride": 1}
-        yield f"snapshots-J{cells}", ["run"], config
-        yield f"snapshots-J{cells}-1cpu", ["run"], config
+        yield f"snapshots-J{cells}", ["run"], {**configs["reference"], "J": cells, "N": 50, "snapshot_stride": 1}
 
     sys.path.insert(0, str(root / "perfbench"))  # run.py imports its sibling modules
     spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench" / "run.py")
@@ -107,8 +95,6 @@ def cases(root: Path):
     for name in bench.WORKLOADS:
         for seed in SEEDS:
             yield f"{name}-seed{seed}", ["run"], bench.workload_config(name, seed)
-            if name in HELPER_WORKLOADS:
-                yield f"{name}-seed{seed}-1cpu", ["run"], bench.workload_config(name, seed)
 
     rng = random.Random(SAMPLE_SEED)
     for mode in ("fixed", "adaptive"):
@@ -135,8 +121,7 @@ def main(argv: list[str]) -> int:
             config_path.write_text(json.dumps(config))
             stdout = io.StringIO()
             out = [] if command == ["oracle"] else ["--out", str(case)]
-            one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)  # undone after
-            with one_cpu if name.endswith("-1cpu") else contextlib.nullcontext(), contextlib.redirect_stdout(stdout):
+            with contextlib.redirect_stdout(stdout):
                 code = massgate([*command, "--config", str(config_path), *out])
             if not out:  # oracle writes nothing but its standard output
                 (case / "stdout").write_text(stdout.getvalue(), encoding="utf-8")
