@@ -30,11 +30,11 @@ from array import array
 from collections import namedtuple
 from itertools import pairwise
 
-from . import analytic
+from . import analytic, stepper
 from .analytic import ConfigError, ControlConfig
 from .controller import SwitchEvent, observe
 from .quadrature import QuadratureKind, _fsum, mass
-from .stepper import FluxSign, GridSpec, assemble, diffusion_number, step
+from .stepper import FluxSign, GridSpec, diffusion_number, step
 
 # What counts as reaching, as a fraction of one step: the relay's window
 # (of the step's mass increment), the oracle's slack below 0 <= error and
@@ -201,7 +201,8 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
     """Step from the zero field through every stage of the time grid,
     ``config.mode.stages(config.control)``, which ``RunConfig`` checked.
 
-    Each stage with steps assembles its step matrix once.  Every field is
+    Each stage with steps assembles its step matrix once, through
+    ``stepper.assemble``, where perfbench traces it.  Every field is
     mirror-symmetric, so the state is a plain list of U_0..U_h, h = J//2,
     stepped through the matrix's mirror fold; after each step its mass is
     evaluated with the configured quadrature and fed to the relay, whose
@@ -246,7 +247,7 @@ def run(config: RunConfig, on_snapshot=None) -> Trajectory:
     for start, dt, steps in stages:
         if not steps:
             continue  # its dt, sized past the horizon, may not even factor
-        matrix = assemble(grid, dt, control.diffusivity).folded
+        matrix = stepper.assemble(grid, dt, control.diffusivity).folded
         window = STEP_SLACK * analytic.mass_rate(control) * dt
         for i in range(1, steps + 1):
             time = start + i * dt

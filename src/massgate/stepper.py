@@ -39,6 +39,18 @@ w_i = nu/p_i.  For even J, U_{h+1} = U_{h-1} gives -2 nu U_{h-1} +
 sum of positive terms, so at least 1.  With J = 2 or 3 the middle row is
 the only one and its pivot is 1; for J = 2 it carries both ends' forcing.
 
+A fold of at most ``KERNEL_ROWS`` = 64 rows at a finite nu also carries
+a ``kernel``: ``solve``'s elimination written out by ``assemble`` as one
+straight-line function, a statement per row over locals, with each
+multiplier, each pivot and nu inlined as its repr, which parses back to
+the same float.  It does the same operations in the same order, so it
+gives the same bits; it only drops the interpreter's loop dispatch, and
+a solve at J = 50 takes 1.8 us in place of 2.9 us.  Generating it costs
+about 17 us and 9 KiB of peak allocation per row (1.1 ms at 64 rows;
+CPython 3.11, 2-core Xeon), which a stage repays after a few hundred
+steps.  A larger fold keeps the loop: J = 10000's 5000 rows would
+compile for 0.19 s to save 8 ms over 200 steps.
+
 The interior mass dx * sum(U_1..U_{J-1}) gains exactly
 2 * diffusivity * dt * s per step (the stencil telescopes down to the two
 boundary slopes), which is what makes threshold hits on specially chosen
@@ -47,8 +59,9 @@ time grids exact.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from enum import IntEnum
 
 from .analytic import ConfigError
@@ -83,18 +96,44 @@ def diffusion_number(grid: GridSpec, dt: float, diffusivity: float) -> float:
     return diffusivity * dt / grid.dx**2
 
 
-class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing folded")):
+class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing folded kernel", defaults=(None,))):
     """The factored step matrix of one grid, dt and diffusivity: the
     elimination multipliers nu/p_0..nu/p_{n-2}, the pivots p_0..p_{n-1}
     of the n = J - 1 interior rows, nu, dx and nu * dx, the flux term of
-    the end rows' right-hand side, and the mirror fold's StepMatrix."""
+    the end rows' right-hand side, the mirror fold's StepMatrix, and a
+    fold's straight-line solve, its ``kernel``, or None (see the module
+    docstring).  A kernel compares by identity, so two assembles of one
+    small grid are no longer ``==``."""
 
     __slots__ = ()
 
 
+KERNEL_ROWS = 64  # the most rows a fold's kernel unrolls
+
+
+def _kernel(multipliers: list[float], pivots: list[float], nu: float) -> Callable[[Sequence[float]], list] | None:
+    """``solve``'s elimination of these factors as one function of rhs,
+    unrolled over locals x0..x{n-1}, with every factor inlined as its repr
+    (which parses back to the same float); None past KERNEL_ROWS rows or
+    at a non-finite nu, whose repr is not a float literal."""
+    n = len(pivots)
+    if n > KERNEL_ROWS or not math.isfinite(nu):
+        return None
+    x = [f"x{i}" for i in range(n)]
+    body = [f"{', '.join(x)}, = rhs"]
+    body += [f"x{i} = x{i} + {w!r} * x{i - 1}" for i, w in enumerate(multipliers, 1)]
+    body.append(f"x{n - 1} = x{n - 1} / {pivots[-1]!r}")
+    body += [f"x{i} = (x{i} + {nu!r} * x{i + 1}) / {pivots[i]!r}" for i in range(n - 2, -1, -1)]
+    body.append(f"return [{', '.join(x)}]")
+    namespace = {}
+    exec("def kernel(rhs):\n " + "\n ".join(body), namespace)
+    return namespace["kernel"]
+
+
 def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
     """Factor the implicit matrix over the J-1 interior unknowns and its
-    mirror fold by the pivot-excess recurrence of the module docstring."""
+    mirror fold by the pivot-excess recurrence of the module docstring,
+    and compile the fold's kernel when it has one."""
     nu = diffusion_number(grid, dt, diffusivity)
     half, meets = grid.cells // 2, 2 - grid.cells % 2  # the middle row meets U_{h-1} once or twice
     multipliers = []
@@ -111,18 +150,22 @@ def assemble(grid: GridSpec, dt: float, diffusivity: float) -> StepMatrix:
         excess = 1.0 + excess * multiplier
     pivots.append(excess)
     forcing = nu * grid.dx
-    return StepMatrix(multipliers, pivots, nu, grid.dx, forcing, StepMatrix(*fold, nu, grid.dx, forcing, None))
+    folded = StepMatrix(*fold, nu, grid.dx, forcing, None, _kernel(*fold, nu))
+    return StepMatrix(multipliers, pivots, nu, grid.dx, forcing, folded)
 
 
 def solve(matrix: StepMatrix, rhs: list[float]) -> list[float]:
     """x with matrix @ x = rhs, as a new list; ``rhs`` holds n floats (a
-    list is fastest, any sequence works) and is not modified.  One copy of
-    it is eliminated in place: the forward pass leaves the reduced
-    right-hand side, and the back pass overwrites that with x."""
+    list is fastest, any sequence works) and is not modified.  A matrix
+    with a kernel solves through it; otherwise one copy of ``rhs`` is
+    eliminated in place: the forward pass leaves the reduced right-hand
+    side, and the back pass overwrites that with x."""
     pivots = matrix.pivots
     n = len(pivots)
     if len(rhs) != n:
         raise ValueError(f"rhs has {len(rhs)} entries, expected {n}")
+    if matrix.kernel is not None:
+        return matrix.kernel(rhs)
     x = list(rhs)
     r = x[0]
     for i, w in enumerate(matrix.multipliers, 1):

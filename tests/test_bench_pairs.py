@@ -10,23 +10,27 @@ bench_pairs = importlib.util.module_from_spec(SPEC)
 SPEC.loader.exec_module(bench_pairs)
 
 # A stand-in for perfbench/run.py: each call appends its tree's name to
-# ../order.log and prints the next of the tree's fixed result lines.
+# ../order.log, with ":trace" for a traced run, and prints the next of the
+# tree's fixed result lines, or of its traced ones.
 FAKE_RUN = """\
+import sys
 from pathlib import Path
 tree = Path(__file__).resolve().parents[1]
+traced = sys.argv[sys.argv.index("--trace") + 1] == "1"
+name = tree.name + ":trace" * traced
 log = tree.parent / "order.log"
 with open(log, "a") as f:
-    f.write(tree.name + "\\n")
-calls = log.read_text().split().count(tree.name)
+    f.write(name + "\\n")
+calls = log.read_text().split().count(name)
 print("workload line")
-print((tree / "results.txt").read_text().splitlines()[calls - 1])
+print((tree / ("traced.txt" if traced else "results.txt")).read_text().splitlines()[calls - 1])
 """
 
 METRICS = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.24},
            {"name": "steps_per_s", "unit": "1/s", "better": "higher", "bound": 0.24}]
 
 
-def fake_tree(root: Path, name: str, walls, rates, failed=()) -> Path:
+def fake_tree(root: Path, name: str, walls, rates, failed=(), layers=None) -> Path:
     tree = root / name
     (tree / "perfbench").mkdir(parents=True)
     (tree / "perfbench" / "run.py").write_text(FAKE_RUN, encoding="utf-8")
@@ -35,6 +39,9 @@ def fake_tree(root: Path, name: str, walls, rates, failed=()) -> Path:
                                      "steps_per_s": {"value": rate, "unit": "1/s"}}})
              for i, (wall, rate) in enumerate(zip(walls, rates))]
     (tree / "results.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if layers is not None:
+        traced = {"correct": True, "attempted": 2, "failed": 0, "metrics": layers}
+        (tree / "traced.txt").write_text(json.dumps(traced) + "\n", encoding="utf-8")
     return tree
 
 
@@ -68,3 +75,18 @@ def test_a_run_without_a_result_line_is_not_correct_and_measures_nothing(tmp_pat
     result = bench_pairs.run_once(tree, "wide", 0, 1.0)
     assert result["correct"] is False and result["metrics"] == {}
     assert bench_pairs.compare([result], [result], METRICS[0])["pairs"] == 0
+
+
+def test_a_bench_json_result_carries_the_layers_of_one_traced_run(tmp_path):
+    layers = {"tridiag.solve.calls": {"value": 20000, "unit": "count"},
+              "tridiag.solve.self_s": {"value": 0.05, "unit": "s"}}
+    change = fake_tree(tmp_path, "change", [0.5], [150], layers=layers)
+    result = bench_pairs.run_once(change, "long_narrow", 0, 1.0)
+    merged = bench_pairs.with_layers(result, change, "long_narrow", 0, 1.0)
+    assert (tmp_path / "order.log").read_text().split() == ["change", "change:trace"]
+    assert merged["metrics"] == {**result["metrics"], **layers}
+    assert (merged["correct"], merged["attempted"], merged["failed"]) == (True, 5, 0)
+
+    (change / "traced.txt").unlink()  # a traced run that prints no result line
+    broken = bench_pairs.with_layers(result, change, "long_narrow", 0, 1.0)
+    assert broken["correct"] is False and broken["metrics"] == result["metrics"]

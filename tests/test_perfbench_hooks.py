@@ -50,6 +50,7 @@ def test_every_per_step_hook_is_called_once_per_step(tmp_path, monkeypatch):
     assert main(["run", "--config", str(REFERENCE), "--out", str(tmp_path / "out")]) == 0  # N = 200
     for span in ("stepper.step", "tridiag.solve", "quadrature.mass", "controller.observe"):
         assert calls[span] == 200, span
-    # the switches are paired and the files emitted once, after the run
-    for span in ("runner.compare_with_oracle", "cli.emit_outputs"):
+    # the one stage is assembled once; the switches are paired and the
+    # files emitted once, after the run
+    for span in ("stepper.assemble", "runner.compare_with_oracle", "cli.emit_outputs"):
         assert calls[span] == 1, span

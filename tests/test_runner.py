@@ -313,7 +313,7 @@ def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
         rows.append(len(rhs))
         return solve(matrix, rhs)
 
-    monkeypatch.setattr(massgate.runner, "assemble", counting("assemble", massgate.runner.assemble))
+    monkeypatch.setattr(massgate.stepper, "assemble", counting("assemble", massgate.stepper.assemble))
     monkeypatch.setattr(massgate.stepper, "solve", counting("solve", solving))
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=0.25)
     adaptive = RunConfig(
@@ -329,6 +329,52 @@ def test_matrix_assembled_once_per_stage_and_solved_once_per_step(monkeypatch):
         assert calls == {"assemble": stages, "solve": len(traj.times)}
         # every field of a run is mirror-symmetric, so each step solves the folded half
         assert rows == [cfg.grid.cells // 2] * len(traj.times)
+
+
+def random_small_grid_config(rng: np.random.Generator) -> RunConfig:
+    """A fixed or adaptive run on J <= 129, whose fold has at most 64 rows,
+    with either quadrature on a fixed grid and a snapshot stride of 0, 1 or 7."""
+    upper = float(10.0 ** rng.uniform(-2.0, 1.0))
+    lower = upper * float(rng.uniform(0.1, 0.9))
+    alpha = float(10.0 ** rng.uniform(-2.0, 1.0))
+    probe = ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=1.0)
+    horizon = float(switch_time(int(rng.integers(1, 8)), probe) * rng.uniform(0.5, 1.2))
+    if rng.integers(2):
+        quadrature = (QuadratureKind.RIEMANN_INTERIOR, QuadratureKind.TRAPEZOID)[int(rng.integers(2))]
+        mode = FixedGrid(steps=int(rng.integers(1, 400)))
+    else:
+        quadrature = QuadratureKind.RIEMANN_INTERIOR
+        mode = AdaptiveGrid(first_stage_steps=int(rng.integers(1, 7)), stage_steps=int(rng.integers(1, 7)))
+    return RunConfig(control=ControlConfig(lower=lower, upper=upper, diffusivity=alpha, horizon=horizon),
+                     grid=GridSpec(cells=int(rng.integers(2, 130))), quadrature=quadrature, mode=mode,
+                     snapshot_stride=int(rng.choice([0, 1, 7])))
+
+
+def run_bits(traj: Trajectory) -> tuple:
+    """Every number of a run as bytes: its columns, switches and snapshots."""
+    events = array("d", [x for _, time, mu in traj.events for x in (time, mu)])
+    snapshots = array("d", [x for values, time in traj.snapshots for x in (*values, time)])
+    return (traj.times.tobytes(), traj.masses.tobytes(), traj.fluxes.tobytes(), [k for k, _, _ in traj.events],
+            events.tobytes(), snapshots.tobytes())
+
+
+def test_kernel_runs_match_loop_runs_bit_for_bit(monkeypatch):
+    # A fold of at most 64 rows solves through its straight-line kernel;
+    # with the row cap at 0 every fold solves through the loop.  A run
+    # must give the same bits either way.
+    import massgate.stepper
+
+    rng = np.random.default_rng(32)
+    configs = [random_small_grid_config(rng) for _ in range(60)]
+    kernel_runs = [run_bits(run(cfg)) for cfg in configs]
+    monkeypatch.setattr(massgate.stepper, "KERNEL_ROWS", 0)
+    for cfg, bits in zip(configs, kernel_runs):
+        assert run_bits(run(cfg)) == bits, cfg
+    # the draws cover both grids, both quadratures, snapshots and switches
+    assert {type(cfg.mode) for cfg in configs} == {FixedGrid, AdaptiveGrid}
+    assert {cfg.quadrature for cfg in configs if isinstance(cfg.mode, FixedGrid)} == set(QuadratureKind)
+    assert sum(bool(bits[-1]) for bits in kernel_runs) > 10
+    assert sum(len(bits[3]) for bits in kernel_runs) > 100
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 dense LU oracle and an exact solve in integer arithmetic, on step
 matrices of random size and diffusion number."""
 
+import math
 import struct
 
 import numpy as np
@@ -224,6 +225,26 @@ def test_rhs_length_rejected():
             solve(matrix, rhs)
 
 
+@pytest.mark.parametrize("cells", [2, 3, 4, 128, 129, 130, 131, 1000])
+def test_only_folds_of_at_most_64_rows_at_a_finite_nu_carry_a_kernel(cells):
+    for nu in (0.0, 1e-6, 1.0, 1e300, math.inf, math.nan):
+        whole = assemble(GridSpec(cells), nu / cells**2, 1.0)
+        assert whole.kernel is None
+        assert (whole.folded.kernel is not None) == (cells // 2 <= 64 and math.isfinite(nu))
+
+
+def test_rhs_length_rejected_with_the_same_error_by_a_kernel():
+    matrix = step_matrix(8, 1.0).folded  # J = 9: a fold of 4 rows
+    assert matrix.kernel is not None
+    loop = matrix._replace(kernel=None)
+    for rhs in ([], [0.0] * 3, [0.0] * 5):
+        with pytest.raises(ValueError) as kernel_error:
+            solve(matrix, rhs)
+        with pytest.raises(ValueError) as loop_error:
+            solve(loop, rhs)
+        assert str(kernel_error.value) == str(loop_error.value) == f"rhs has {len(rhs)} entries, expected 4"
+
+
 def test_input_arrays_not_mutated():
     matrix = step_matrix(3, 1.0)
     pivots = list(matrix.pivots)
@@ -281,9 +302,10 @@ def signed_fields(rng: np.random.Generator, size: int) -> list[np.ndarray]:
     return [np.zeros(size), np.full(size, -0.0), mixed]
 
 
-@pytest.mark.parametrize("cells", [2, 3, 4, 5, 7, 50, 51, 1000, 10001])
+@pytest.mark.parametrize("cells", [2, 3, 4, 5, 7, 50, 51, 129, 130, 1000, 10001])
 def test_in_place_solve_and_step_match_the_two_loop_reference_bit_for_bit(cells):
-    # The in-place elimination and the one-copy step do the reference's
+    # The in-place elimination, the fold's kernel (up to J = 129, whose
+    # fold has 64 rows) and the one-copy step do the reference's
     # arithmetic in its order, on the whole matrix and on its fold, for
     # list and numpy inputs, and leave their inputs as they were.
     rng = np.random.default_rng(cells)

@@ -23,7 +23,8 @@ cannot tell a change of the bound's size from noise.  It also counts the
 runs that were not `correct` and the `failed` operations on each side.
 With --bench-json, the last line of the working tree's last run of each
 workload is written there, keyed by workload, as in the repository's
-BENCH_<pr>.json files.
+BENCH_<pr>.json files, with the per-layer metrics of one more run of
+the working tree with `--trace 1` merged into its metrics.
 """
 
 from __future__ import annotations
@@ -52,9 +53,10 @@ def extract(revision: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: bool = False) -> dict:
     """The JSON last line of one perfbench run in ``tree``, or _BROKEN."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+            "--trace", str(int(trace))]
     result = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     lines = result.stdout.strip().splitlines()
     try:
@@ -76,6 +78,15 @@ def run_pairs(parent: Path, change: Path, workload: str, seed: int, seconds: flo
             print(f"  {workload} pair {i + 1}/{pairs} {('parent', 'change')[side]}: wall_s {wall}",
                   file=sys.stderr, flush=True)
     return results
+
+
+def with_layers(result: dict, tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """``result`` with the per-layer metrics of one traced run in ``tree``
+    added to its metrics, and that run counted in its outcome."""
+    traced = run_once(tree, workload, seed, seconds, trace=True)
+    return {**result, "correct": result["correct"] and traced["correct"],
+            "attempted": result["attempted"] + traced["attempted"], "failed": result["failed"] + traced["failed"],
+            "metrics": {**traced["metrics"], **result["metrics"]}}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -142,6 +153,8 @@ def main(argv: list[str] | None = None) -> int:
             results = run_pairs(parent, ROOT, workload, args.seed, args.seconds, args.pairs)
             print("\n".join(report(workload, *results, benchmark["end_to_end"])), flush=True)
             last[workload] = results[1][-1]
+            if args.bench_json:
+                last[workload] = with_layers(last[workload], ROOT, workload, args.seed, args.seconds)
     if args.bench_json:
         args.bench_json.write_text(json.dumps(last, indent=2) + "\n", encoding="utf-8")
     return 0

@@ -10,12 +10,13 @@ The cases:
 * `sweep --n-list 50,200,1000` on the reference golden config;
 * `run` on the reference golden config with N=50 and a snapshot at
   every step, as `snapshots-J<J>` once for each J in `JS`, so that every
-  parity and size of the mirrored snapshot rows is hashed;
+  parity and size of the mirrored snapshot rows is hashed, and both
+  sides of the 64-row cap on a fold's straight-line solve (J = 129, 130);
 * `run` on the four perfbench workloads at seeds 0-3, as
   `perfbench/run.py`'s `workload_config` builds them;
 * `run` on a seeded sample of 60 fixed and 60 adaptive configs, with J
-  in {2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201}, both quadratures on the
-  fixed grid and snapshot strides 0, 1 and 7.
+  drawn from `JS`, both quadratures on the fixed grid and snapshot
+  strides 0, 1 and 7.
 
 A command that fails prints ``exit <code>  <case>`` in place of its
 digests.  massgate runs in-process, from the `src/` of the checkout
@@ -50,7 +51,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-JS = (2, 3, 4, 5, 7, 8, 20, 50, 51, 200, 201)
+JS = (2, 3, 4, 5, 7, 8, 20, 50, 51, 129, 130, 200, 201)
 STRIDES = (0, 1, 7)
 SEEDS = range(4)
 SAMPLE_SEED = 0
