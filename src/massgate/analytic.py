@@ -10,6 +10,7 @@ These values are the ground truth the numerical runs are compared to.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 
 
@@ -66,22 +67,18 @@ def switch_time(k: int, control: ControlConfig) -> float:
     """
     if k < 1:
         raise ValueError(f"switch index must be >= 1, got {k}")
-    return (k * control.upper - (k - 1) * control.lower) / mass_rate(control)
+    reached = k * control.upper - (k - 1) * control.lower
+    if math.isfinite(reached):
+        return reached / mass_rate(control)
+    # k*upper overflows before t_k does; no term of this sum exceeds t_k
+    return control.upper / mass_rate(control) + (k - 1) * switch_spacing(control)
 
 
 def switch_count(control: ControlConfig, limit: int) -> int:
     """Number of closed-form switches t_k <= horizon, or ``limit + 1`` when
-    there are more than ``limit``.  The estimate from the closed form is
-    settled against ``switch_time`` itself, so it counts the times that
-    ``switch_time`` gives."""
-    span = control.upper - control.lower
-    estimate = (control.horizon * mass_rate(control) - control.lower) / span
-    count = max(0, int(min(estimate, limit + 1)))
-    while count and switch_time(count, control) > control.horizon:
-        count -= 1
-    while count <= limit and switch_time(count + 1, control) <= control.horizon:
-        count += 1
-    return count
+    there are more than ``limit``: a bisection over ``switch_time`` itself,
+    so it counts the times that ``switch_time`` gives."""
+    return bisect_right(range(1, limit + 2), control.horizon, key=lambda k: switch_time(k, control))
 
 
 def total_mass(t: float, control: ControlConfig) -> float:

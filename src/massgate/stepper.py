@@ -103,7 +103,7 @@ class StepMatrix(namedtuple("StepMatrix", "multipliers pivots nu dx forcing fold
     the end rows' right-hand side, the mirror fold's StepMatrix, and a
     fold's straight-line solve, its ``kernel``, or None (see the module
     docstring).  A kernel compares by identity, so two assembles of one
-    small grid are no longer ``==``."""
+    small grid compare ``==`` only when they share one kernel object."""
 
     __slots__ = ()
 

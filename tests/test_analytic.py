@@ -30,6 +30,11 @@ def random_control(rng: np.random.Generator) -> ControlConfig:
     )
 
 
+# k*upper overflows from switch 5 on, though all 15 switch times up to the
+# horizon are finite
+LARGE = ControlConfig(lower=2e307, upper=4.4e307, diffusivity=1e307, horizon=20.0)
+
+
 def test_first_two_switch_times_unit_diffusivity():
     control = ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=10.0)
     assert switch_time(1, control) == pytest.approx(0.1, abs=1e-15)   # upper/2
@@ -78,6 +83,9 @@ def test_mass_hits_thresholds_at_switch_times():
         for k in range(1, 13):
             expected = control.upper if k % 2 == 1 else control.lower
             assert abs(total_mass(switch_time(k, control), control) - expected) <= 1e-12
+    for k in range(1, 16):
+        expected = LARGE.upper if k % 2 == 1 else LARGE.lower
+        assert abs(total_mass(switch_time(k, LARGE), LARGE) - expected) <= 1e-12 * expected
 
 
 def test_mass_slope_by_finite_differences():
@@ -162,3 +170,7 @@ def test_switch_count_is_the_brute_force_count_up_to_the_horizon():
     assert switch_count(huge, 10) == 11
     tiny = ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=1.0)
     assert switch_count(tiny, 10) == 0
+    count = 0
+    while switch_time(count + 1, LARGE) <= LARGE.horizon:
+        count += 1
+    assert switch_count(LARGE, 1000) == count == 15

@@ -56,22 +56,10 @@ ADAPTIVE = {
 DENSE_ADAPTIVE = {**ADAPTIVE, "horizon": 25.0}
 DENSE_FIXED = {**REFERENCE, "J": 10, "N": 9000, "horizon": 450}
 OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
-
-
-# One process writes every file, so neither the usable CPUs nor a fork
-# that fails may change what a run writes or how it fails; the tests
-# parametrized over ``cpus`` and ``fork_fails`` hold that.
-def use_cpus(monkeypatch, count):
-    """Make os.sched_getaffinity report ``count`` usable CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def fail_fork(monkeypatch):
-    """Make os.fork fail as it does at the process limit."""
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
+# k*M overflows from switch 5 on, though all 15 switch times up to the
+# horizon are finite
+LARGE_THRESHOLDS = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3,
+                    "Nstage": 3}
 
 
 def count_steps(monkeypatch):
@@ -467,10 +455,9 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stride, cpus", [(0, 2), (1, 1), (1, 2)])
-def test_cli_full_disk_is_an_io_error(tmp_path, capsys, monkeypatch, stride, cpus):
+@pytest.mark.parametrize("stride", [0, 1])
+def test_cli_full_disk_is_an_io_error(tmp_path, capsys, stride):
     # the full disk fails the header's flush, before the first step
-    use_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     out.mkdir()
     (out / "snapshots.csv").symlink_to("/dev/full")
@@ -490,14 +477,9 @@ def out_of_space(marker):
 
 @pytest.mark.parametrize("sink, mapping", [("_open_snapshot_sink", {**REFERENCE, "snapshot_stride": 1}),
                                            ("_switch_writer", DENSE_ADAPTIVE)], ids=["snapshots", "switches"])
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys, monkeypatch, cpus, fork_fails,
-                                                                sink, mapping):
+def test_cli_sink_out_of_space_is_its_errno(tmp_path, capsys, monkeypatch, sink, mapping):
     # the snapshot printer fails during the run, the switch writer after
     # it: either way the errno is reported once and no file is left
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
     marker = tmp_path / "printed"
     fail = out_of_space(marker)
     # the snapshot sink is opened before the run and fails at its first snapshot
@@ -509,10 +491,8 @@ def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("cells", [2, 3, 50, 51])
-def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch, cells, cpus):
-    use_cpus(monkeypatch, cpus)
+def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch, cells):
     widths = []
     open_sink = massgate.cli._open_snapshot_sink
 
@@ -533,13 +513,9 @@ def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch,
     assert {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS} == expected
 
 
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails):
+def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys):
     mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 7}
     expected = in_process_outputs(mapping, tmp_path / "expected")
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]) == 0
     assert capsys.readouterr().out == f"499 switches detected; outputs in {out}\n"
@@ -547,31 +523,21 @@ def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys, monkey
         assert (out / name).read_bytes() == data, name
 
 
-def test_event_dense_compare_matches_on_one_and_two_cpus(tmp_path, capsys, monkeypatch):
+def test_event_dense_compare_matches_the_in_process_outputs(tmp_path, capsys):
     expected = {kind: in_process_outputs({**DENSE_FIXED, "quadrature": kind}, tmp_path / kind)
                 for kind in ("riemann", "trapezoid")}
-    config_path = write_config(tmp_path, DENSE_FIXED)
-    compared = []
-    for cpus in (1, 2):
-        use_cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["compare", "--config", str(config_path), "--out", str(out)]) == 0
-        for kind, files in expected.items():
-            for name, data in files.items():
-                assert (out / kind / name).read_bytes() == data, (cpus, kind, name)
-        compared.append((out / "compare.json").read_bytes())
+    out = tmp_path / "compare"
+    assert main(["compare", "--config", str(write_config(tmp_path, DENSE_FIXED)), "--out", str(out)]) == 0
     capsys.readouterr()
-    assert compared[0] == compared[1]
+    for kind, files in expected.items():
+        for name, data in files.items():
+            assert (out / kind / name).read_bytes() == data, (kind, name)
     reports = {kind: json.loads(files["report.json"]) for kind, files in expected.items()}
-    assert json.loads(compared[0]) == reports
+    assert json.loads((out / "compare.json").read_bytes()) == reports
 
 
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails):
+def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):
     # the run fails at step 1501, after about 300 switches
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
     steps = []
     step = massgate.runner.step
 
@@ -589,12 +555,7 @@ def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypa
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsys, monkeypatch, cpus,
-                                                                 fork_fails):
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
+def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
     (out / "switches.csv").symlink_to("/dev/full")
@@ -609,13 +570,8 @@ SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 5
 
 
 @pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1), ("mass.csv", 0)])
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, cpus, fork_fails,
-                                                                  blocked, stride):
+def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, blocked, stride):
     # every header is written and flushed before the first step
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
     steps = count_steps(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
@@ -639,34 +595,6 @@ def test_cli_module_logs_under_massgate_names(tmp_path):
     assert names and all(name.startswith("massgate.") for name in names), result.stderr
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="restricts this process's CPU affinity")
-@pytest.mark.parametrize("fork_fails", [False, True], ids=["one-cpu", "failed-fork"])
-@pytest.mark.parametrize(
-    "mapping",
-    [
-        pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference"),
-        pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive"),
-        pytest.param(DENSE_ADAPTIVE, id="dense-adaptive"),
-    ],
-)
-def test_run_and_emit_writes_the_post_run_bytes(tmp_path, monkeypatch, mapping, fork_fails):
-    expected = in_process_outputs(mapping, tmp_path / "expected")
-    run_config, out = config_from_mapping(mapping), tmp_path / "out"
-    if fork_fails:
-        use_cpus(monkeypatch, 2)
-        fail_fork(monkeypatch)
-        _run_and_emit(run_config, out)
-    else:  # only this process is restricted, to one of its CPUs
-        cpus = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {min(cpus)})
-        try:
-            _run_and_emit(run_config, out)
-        finally:
-            os.sched_setaffinity(0, cpus)
-    for name, data in expected.items():
-        assert (out / name).read_bytes() == data, name
-
-
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -675,28 +603,36 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
     [
         *(pytest.param(json.loads((GOLDEN / case / "config.json").read_text()), id=case)
           for case in sorted(path.name for path in GOLDEN.iterdir())),
-        pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive"),
+        pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference-stride-5"),
+        pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive-stride-3"),
+        pytest.param(DENSE_ADAPTIVE, id="dense-adaptive-stride-0"),
+        pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive-stride-5"),
     ],
 )
-def test_cli_run_and_compare_fork_nothing(tmp_path, capsys, monkeypatch, mapping):
-    forks = []
+def test_no_command_starts_a_process_or_reads_the_cpu_set(tmp_path, capsys, monkeypatch, mapping):
+    # every command runs in this one process, so what it writes cannot
+    # depend on the CPUs it may use or on whether a fork would succeed
+    calls = []
+    for owner, name in ((os, "fork"), (os, "posix_spawn"), (subprocess, "Popen"), (os, "sched_getaffinity")):
+        def forbidden(*args, name=name, **kwargs):
+            calls.append(name)
+            pytest.fail(f"called {name}")
 
-    def no_fork():
-        forks.append(None)
-        pytest.fail("forked a process")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(owner, name, forbidden, raising=False)
     config_path, out = write_config(tmp_path, mapping), tmp_path / "out"
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     expected = in_process_outputs(mapping, tmp_path / "expected")
     assert {name: (out / name).read_bytes() for name in OUTPUTS} == expected
-    if mapping.get("mode", "fixed") == "fixed":  # compare runs fixed configs only
+    assert main(["oracle", "--config", str(config_path)]) == 0
+    if mapping.get("mode", "fixed") == "fixed":  # compare and sweep run fixed configs only
         assert main(["compare", "--config", str(config_path), "--out", str(tmp_path / "compare")]) == 0
         for kind in ("riemann", "trapezoid"):
             expected = in_process_outputs({**mapping, "quadrature": kind}, tmp_path / f"expected-{kind}")
             assert {name: (tmp_path / "compare" / kind / name).read_bytes() for name in OUTPUTS} == expected, kind
+        argv = ["sweep", "--config", str(config_path), "--n-list", "50,200", "--out", str(tmp_path / "sweep")]
+        assert main(argv) == 0
     capsys.readouterr()
-    assert forks == []
+    assert calls == []
 
 
 def test_sweep_holds_no_snapshots(tmp_path, capsys):
@@ -728,6 +664,7 @@ def test_cli_oracle_subcommand(tmp_path, capsys):
 
 def test_cli_oracle_rows_are_the_switches_up_to_the_horizon(tmp_path, capsys):
     rng = np.random.default_rng(5)
+    configs = []
     for _ in range(200):
         lower = float(rng.uniform(0.01, 1.0))
         raw = {**REFERENCE, "m": lower, "M": lower * float(rng.uniform(1.01, 3.0)),
@@ -736,6 +673,8 @@ def test_cli_oracle_rows_are_the_switches_up_to_the_horizon(tmp_path, capsys):
         # horizon on, just below, or between closed-form switch times
         k = int(rng.integers(1, 50))
         raw["horizon"] = switch_time(k, control) * float(rng.choice([1.0, 1.0 - 1e-15, 1.3]))
+        configs.append(raw)
+    for raw in [*configs, LARGE_THRESHOLDS]:
         control = config_from_mapping(raw).control
         expected = []
         while switch_time(len(expected) + 1, control) <= control.horizon:
@@ -850,10 +789,8 @@ def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, confi
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("config", ARITHMETIC_FAILURES)
-def test_cli_failed_run_leaves_no_snapshots(tmp_path, capsys, monkeypatch, config, cpus):
-    use_cpus(monkeypatch, cpus)
+def test_cli_failed_run_leaves_no_snapshots(tmp_path, capsys, config):
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**config, "snapshot_stride": 1})
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
@@ -1132,13 +1069,9 @@ def test_adaptive_cli_run_stops_at_the_horizon_as_oracle_does(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
-@pytest.mark.parametrize("cpus, fork_fails", [(1, False), (2, False), (2, True)])
-def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatch, cpus, fork_fails, blocked):
+def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, blocked):
     # mass.csv fails when it is opened, and the full disk under
     # switches.csv when its header is flushed, both before the run
-    use_cpus(monkeypatch, cpus)
-    if fork_fails:
-        fail_fork(monkeypatch)
     out = tmp_path / "out"
     out.mkdir()
     if blocked == "mass.csv":
@@ -1156,11 +1089,9 @@ def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("blocked", OUTPUTS)
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, monkeypatch, cpus, blocked):
+def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, blocked):
     # every file is opened before the run, and those opened before the
     # directory failed are removed
-    use_cpus(monkeypatch, cpus)
     out = tmp_path / "out"
     (out / blocked).mkdir(parents=True)
     config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 1})
@@ -1171,9 +1102,7 @@ def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, mo
     assert [path.name for path in out.iterdir()] == [blocked]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_cli_run_failing_at_step_1_removes_an_earlier_runs_outputs(tmp_path, capsys, monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
+def test_cli_run_failing_at_step_1_removes_an_earlier_runs_outputs(tmp_path, capsys):
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
@@ -1194,9 +1123,7 @@ def test_failed_emit_outputs_leaves_no_file(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch, cpus):
-    use_cpus(monkeypatch, cpus)
+def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
     config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 7})
     outputs, debug = {}, {}
     for level in ("debug", "error"):

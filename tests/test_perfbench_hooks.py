@@ -54,3 +54,5 @@ def test_every_per_step_hook_is_called_once_per_step(tmp_path, monkeypatch):
     # files emitted once, after the run
     for span in ("stepper.assemble", "runner.compare_with_oracle", "cli.emit_outputs"):
         assert calls[span] == 1, span
+    # one closed-form time for each of the 9 detected switches, to pair it
+    assert calls["analytic.switch_time"] == 9

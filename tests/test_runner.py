@@ -251,6 +251,8 @@ def _past_switch_12(lower, upper):
                      id="M=1000"),
         # switch times near 1e8, where one ulp is 1.5e-8
         pytest.param(0.1, 0.2, 5e-9, 1e8, 50, 2, 2, 9, 1e-7, id="alpha=5e-9"),
+        # k*M overflows from switch 5 on, though every t_k up to 20 is finite
+        pytest.param(2e307, 4.4e307, 1e307, 20.0, 2, 3, 3, 15, 1e-12, id="M=4.4e307"),
     ],
 )
 def test_adaptive_switches_match_closed_form_at_any_scale(

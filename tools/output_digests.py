@@ -8,6 +8,8 @@ The cases:
 * `oracle` on each golden config, whose standard output is hashed as
   the file `stdout`;
 * `sweep --n-list 50,200,1000` on the reference golden config;
+* `run` and `oracle` on `LARGE`, whose thresholds are so large that
+  k*M overflows while every switch time up to the horizon is finite;
 * `run` on the reference golden config with N=50 and a snapshot at
   every step, as `snapshots-J<J>` once for each J in `JS`, so that every
   parity and size of the mirrored snapshot rows is hashed, and both
@@ -56,6 +58,8 @@ STRIDES = (0, 1, 7)
 SEEDS = range(4)
 SAMPLE_SEED = 0
 SAMPLE_SIZE = 60
+# 15 closed-form switches up to the horizon; k*M overflows from k = 5 on
+LARGE = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3, "Nstage": 3}
 
 
 def sample_config(rng: random.Random, mode: str) -> dict:
@@ -86,6 +90,8 @@ def cases(root: Path):
     for name, config in configs.items():
         yield f"oracle-{name}", ["oracle"], config
     yield "sweep-reference", ["sweep", "--n-list", "50,200,1000"], configs["reference"]
+    yield "large-thresholds", ["run"], LARGE
+    yield "oracle-large-thresholds", ["oracle"], LARGE
     for cells in JS:
         yield f"snapshots-J{cells}", ["run"], {**configs["reference"], "J": cells, "N": 50, "snapshot_stride": 1}
 
