@@ -56,6 +56,11 @@ ADAPTIVE = {
 DENSE_ADAPTIVE = {**ADAPTIVE, "horizon": 25.0}
 DENSE_FIXED = {**REFERENCE, "J": 10, "N": 9000, "horizon": 450}
 OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
+# Tests that once also ran under a faked count of one CPU and under a
+# failing fork keep the names and case ids they had then: a "2" or
+# "2-False" in an id (two CPUs, a fork that works) marks the one case
+# each kept.  test_cli_run_and_compare_fork_nothing holds that no command
+# forks or reads the CPU set, so those variants could differ in nothing.
 # k*M overflows from switch 5 on, though all 15 switch times up to the
 # horizon are finite
 LARGE_THRESHOLDS = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3,
@@ -455,7 +460,7 @@ def test_cli_unwritable_output_is_io_error(tmp_path, capsys):
     assert "io error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("stride", [0, 1])
+@pytest.mark.parametrize("stride", [0, 1], ids=["0-2", "1-2"])
 def test_cli_full_disk_is_an_io_error(tmp_path, capsys, stride):
     # the full disk fails the header's flush, before the first step
     out = tmp_path / "out"
@@ -476,8 +481,9 @@ def out_of_space(marker):
 
 
 @pytest.mark.parametrize("sink, mapping", [("_open_snapshot_sink", {**REFERENCE, "snapshot_stride": 1}),
-                                           ("_switch_writer", DENSE_ADAPTIVE)], ids=["snapshots", "switches"])
-def test_cli_sink_out_of_space_is_its_errno(tmp_path, capsys, monkeypatch, sink, mapping):
+                                           ("_switch_writer", DENSE_ADAPTIVE)],
+                         ids=["2-False-snapshots", "2-False-switches"])
+def test_cli_sink_out_of_space_is_its_errno_from_either_process(tmp_path, capsys, monkeypatch, sink, mapping):
     # the snapshot printer fails during the run, the switch writer after
     # it: either way the errno is reported once and no file is left
     marker = tmp_path / "printed"
@@ -491,7 +497,7 @@ def test_cli_sink_out_of_space_is_its_errno(tmp_path, capsys, monkeypatch, sink,
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("cells", [2, 3, 50, 51])
+@pytest.mark.parametrize("cells", [2, 3, 50, 51], ids=lambda cells: f"{cells}-2")
 def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch, cells):
     widths = []
     open_sink = massgate.cli._open_snapshot_sink
@@ -513,8 +519,8 @@ def test_cli_run_streams_each_snapshot_as_the_mirror_half(tmp_path, monkeypatch,
     assert {name: (tmp_path / "out" / name).read_bytes() for name in OUTPUTS} == expected
 
 
-def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys):
-    mapping = {**DENSE_ADAPTIVE, "snapshot_stride": 7}
+@pytest.mark.parametrize("mapping", [pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 7}, id="2-False")])
+def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys, mapping):
     expected = in_process_outputs(mapping, tmp_path / "expected")
     out = tmp_path / "out"
     assert main(["run", "--config", str(write_config(tmp_path, mapping)), "--out", str(out)]) == 0
@@ -523,7 +529,7 @@ def test_event_dense_run_matches_the_in_process_outputs(tmp_path, capsys):
         assert (out / name).read_bytes() == data, name
 
 
-def test_event_dense_compare_matches_the_in_process_outputs(tmp_path, capsys):
+def test_event_dense_compare_matches_on_one_and_two_cpus(tmp_path, capsys):
     expected = {kind: in_process_outputs({**DENSE_FIXED, "quadrature": kind}, tmp_path / kind)
                 for kind in ("riemann", "trapezoid")}
     out = tmp_path / "compare"
@@ -536,7 +542,8 @@ def test_event_dense_compare_matches_the_in_process_outputs(tmp_path, capsys):
     assert json.loads((out / "compare.json").read_bytes()) == reports
 
 
-def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("mapping", [pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 1}, id="2-False")])
+def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypatch, mapping):
     # the run fails at step 1501, after about 300 switches
     steps = []
     step = massgate.runner.step
@@ -549,17 +556,18 @@ def test_cli_failed_event_dense_run_leaves_no_outputs(tmp_path, capsys, monkeypa
 
     monkeypatch.setattr(massgate.runner, "step", failing_step)
     out = tmp_path / "out"
-    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 1})
+    config_path = write_config(tmp_path, mapping)
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "massgate: config error: ZeroDivisionError: step failed\n"
     assert list(out.iterdir()) == []
 
 
-def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsys):
+@pytest.mark.parametrize("mapping", [pytest.param(DENSE_ADAPTIVE, id="2-False")])
+def test_cli_full_disk_under_event_dense_switches_is_an_io_error(tmp_path, capsys, mapping):
     out = tmp_path / "out"
     out.mkdir()
     (out / "switches.csv").symlink_to("/dev/full")
-    config_path = write_config(tmp_path, DENSE_ADAPTIVE)
+    config_path = write_config(tmp_path, mapping)
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == "massgate: io error: [Errno 28] No space left on device\n"
 
@@ -569,7 +577,8 @@ SHORT_DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 0.05, "horizon": 25, "J": 5
                         "Nstage": 2}
 
 
-@pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1), ("mass.csv", 0)])
+@pytest.mark.parametrize("blocked, stride", [("switches.csv", 0), ("snapshots.csv", 1), ("mass.csv", 0)],
+                         ids=lambda value: f"2-False-{value}" if isinstance(value, str) else str(value))
 def test_cli_full_disk_under_a_header_fails_before_the_first_step(tmp_path, capsys, monkeypatch, blocked, stride):
     # every header is written and flushed before the first step
     steps = count_steps(monkeypatch)
@@ -595,6 +604,26 @@ def test_cli_module_logs_under_massgate_names(tmp_path):
     assert names and all(name.startswith("massgate.") for name in names), result.stderr
 
 
+@pytest.mark.parametrize(
+    "mapping",
+    [
+        pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference-failed-fork"),
+        pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive-failed-fork"),
+        pytest.param(DENSE_ADAPTIVE, id="dense-adaptive-failed-fork"),
+    ],
+)
+def test_run_and_emit_writes_the_post_run_bytes(tmp_path, monkeypatch, mapping):
+    expected = in_process_outputs(mapping, tmp_path / "expected")
+
+    def no_fork():  # as at the process limit
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    _run_and_emit(config_from_mapping(mapping), tmp_path / "out")
+    for name, data in expected.items():
+        assert (tmp_path / "out" / name).read_bytes() == data, name
+
+
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -606,12 +635,13 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
         pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference-stride-5"),
         pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive-stride-3"),
         pytest.param(DENSE_ADAPTIVE, id="dense-adaptive-stride-0"),
-        pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive-stride-5"),
+        pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive"),
     ],
 )
-def test_no_command_starts_a_process_or_reads_the_cpu_set(tmp_path, capsys, monkeypatch, mapping):
-    # every command runs in this one process, so what it writes cannot
-    # depend on the CPUs it may use or on whether a fork would succeed
+def test_cli_run_and_compare_fork_nothing(tmp_path, capsys, monkeypatch, mapping):
+    # no command starts a process or reads the CPU set: every command runs
+    # in this one process, so what it writes cannot depend on the CPUs it
+    # may use or on whether a fork would succeed
     calls = []
     for owner, name in ((os, "fork"), (os, "posix_spawn"), (subprocess, "Popen"), (os, "sched_getaffinity")):
         def forbidden(*args, name=name, **kwargs):
@@ -789,7 +819,7 @@ def test_cli_arithmetic_failure_is_a_one_line_diagnostic(tmp_path, capsys, confi
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("config", ARITHMETIC_FAILURES)
+@pytest.mark.parametrize("config", [pytest.param(*case.values, id=f"{case.id}-2") for case in ARITHMETIC_FAILURES])
 def test_cli_failed_run_leaves_no_snapshots(tmp_path, capsys, config):
     out = tmp_path / "out"
     config_path = write_config(tmp_path, {**config, "snapshot_stride": 1})
@@ -1068,7 +1098,7 @@ def test_adaptive_cli_run_stops_at_the_horizon_as_oracle_does(tmp_path, capsys):
     assert [row["time"] for row in read_rows(out / "mass.csv")] == ["0.2500000000"]
 
 
-@pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"])
+@pytest.mark.parametrize("blocked", ["mass.csv", "switches.csv"], ids=lambda name: f"2-False-{name}")
 def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, blocked):
     # mass.csv fails when it is opened, and the full disk under
     # switches.csv when its header is flushed, both before the run
@@ -1088,7 +1118,7 @@ def test_cli_failed_emit_leaves_no_streamed_outputs(tmp_path, capsys, blocked):
     assert [path.name for path in out.iterdir()] == (["mass.csv"] if blocked == "mass.csv" else [])
 
 
-@pytest.mark.parametrize("blocked", OUTPUTS)
+@pytest.mark.parametrize("blocked", OUTPUTS, ids=lambda name: f"2-{name}")
 def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, blocked):
     # every file is opened before the run, and those opened before the
     # directory failed are removed
@@ -1102,9 +1132,10 @@ def test_cli_directory_in_place_of_an_output_leaves_only_it(tmp_path, capsys, bl
     assert [path.name for path in out.iterdir()] == [blocked]
 
 
-def test_cli_run_failing_at_step_1_removes_an_earlier_runs_outputs(tmp_path, capsys):
+@pytest.mark.parametrize("mapping", [pytest.param({**REFERENCE, "snapshot_stride": 1}, id="2")])
+def test_cli_run_failing_at_step_1_removes_an_earlier_runs_outputs(tmp_path, capsys, mapping):
     out = tmp_path / "out"
-    config_path = write_config(tmp_path, {**REFERENCE, "snapshot_stride": 1})
+    config_path = write_config(tmp_path, mapping)
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     assert sorted(path.name for path in out.iterdir()) == sorted(OUTPUTS)
     capsys.readouterr()
@@ -1123,8 +1154,9 @@ def test_failed_emit_outputs_leaves_no_file(tmp_path):
     assert [path.name for path in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
-    config_path = write_config(tmp_path, {**DENSE_ADAPTIVE, "snapshot_stride": 7})
+@pytest.mark.parametrize("mapping", [pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 7}, id="2")])
+def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, capsys, monkeypatch, mapping):
+    config_path = write_config(tmp_path, mapping)
     outputs, debug = {}, {}
     for level in ("debug", "error"):
         monkeypatch.setenv("MASSGATE_LOG", level)

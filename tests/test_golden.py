@@ -9,9 +9,12 @@ goes negative during outflow and whose `bound` values have long reprs.
 data/compare/reference.json is the compare.json that `massgate compare`
 wrote for the reference case.
 
-Every case records snapshots, which the run prints as it steps.
+Every case records snapshots, which the run prints as it steps.  The
+one-CPU and failed-fork variants hold that one process writes the same
+bytes whatever CPUs it may use and whether or not it could fork.
 """
 
+import errno
 import logging
 import os
 from pathlib import Path
@@ -25,6 +28,26 @@ COMPARE = Path(__file__).parent / "data" / "compare"
 
 
 CASES = sorted(p.name for p in GOLDEN.iterdir())
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """One usable CPU; a fork fails the test."""
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
+@pytest.fixture
+def failing_fork(monkeypatch):
+    """Two usable CPUs, but os.fork fails as it does at the process limit."""
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -48,3 +71,21 @@ def test_compare_json_matches_golden(tmp_path, capsys):
     assert main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     assert (tmp_path / "compare.json").read_bytes() == (COMPARE / "reference.json").read_bytes()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_outputs_match_golden_on_one_cpu(case, tmp_path, capsys, monkeypatch, one_cpu):
+    test_run_outputs_match_golden(case, tmp_path, capsys, monkeypatch)
+
+
+def test_compare_json_matches_golden_on_one_cpu(tmp_path, capsys, one_cpu):
+    test_compare_json_matches_golden(tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_run_outputs_match_golden_when_fork_fails(case, tmp_path, capsys, monkeypatch, failing_fork):
+    test_run_outputs_match_golden(case, tmp_path, capsys, monkeypatch)
+
+
+def test_compare_json_matches_golden_when_fork_fails(tmp_path, capsys, failing_fork):
+    test_compare_json_matches_golden(tmp_path, capsys)
