@@ -147,14 +147,14 @@ def _info(message: str, *args) -> None:
 _BUFFER = 1 << 16
 
 _SWITCHES_HEADER = b"k,T_k,t_k,err,bound,within_bound\n"
-_SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%r,%s\n"
+_SWITCH_ROW = b"%d,%.10f,%.10f,%.10f,%s,%s\n"
 
 # report.json as json.dumps(..., indent=2) lays it out: the head, each
-# event's entry, comma-separated, and the tail with the summary.  Every
-# value is printed with %r, so it must be a Python scalar, as
-# ``compare_with_oracle`` builds them.  Where repr and JSON spell a value
-# differently, _JSON_SPELLINGS maps one to the other, which is safe
-# because no key contains them.
+# event's entry, comma-separated, and the tail with the summary.  Values
+# are printed with %r, ``within_bound`` as true or false, so each must be
+# a Python scalar, as ``compare_with_oracle`` builds them.  Where repr and
+# JSON spell a value differently (nan, inf, None), _JSON_SPELLINGS maps
+# one to the other, which is safe because no key contains them.
 _REPORT_HEAD = b'{\n  "events": ['
 _REPORT_EVENT = b"""
     {
@@ -162,8 +162,8 @@ _REPORT_EVENT = b"""
       "T_k": %r,
       "t_k": %r,
       "err": %r,
-      "bound": %r,
-      "within_bound": %r
+      "bound": %s,
+      "within_bound": %s
     }"""
 _REPORT_TAIL = b"""],
   "summary": {
@@ -172,8 +172,7 @@ _REPORT_TAIL = b"""],
   }
 }
 """
-_JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"),
-                   (b"True", b"true"), (b"False", b"false"))
+_JSON_SPELLINGS = ((b"nan", b"NaN"), (b"inf", b"Infinity"), (b"None", b"null"))
 # A run's output files, in the order ``_create`` opens them, and their headers.
 OUTPUTS = {"switches.csv": _SWITCHES_HEADER, "mass.csv": b"time,mass,flux\n", "snapshots.csv": b"time,x,u\n",
            "report.json": _REPORT_HEAD}
@@ -182,14 +181,22 @@ OUTPUTS = {"switches.csv": _SWITCHES_HEADER, "mass.csv": b"time,mass,flux\n", "s
 def _switch_writer(switches, report, summary: ErrorReport) -> None:
     """Write the rows of switches.csv and the entries and summary of
     report.json, the one writer of both, from ``summary``, the
-    ``ErrorReport`` of a run's paired switches, each file in one write."""
-    rows = summary.events
-    switches.writelines([_SWITCH_ROW % (k, computed, oracle, error, bound, b"true" if within else b"false")
-                         for k, computed, oracle, error, bound, within in rows])
-    text = (b",".join(map(_REPORT_EVENT.__mod__, rows)) + (b"\n  " if rows else b"")
-            + _REPORT_TAIL % (summary.max_abs_error, summary.mean_spacing))
-    for spelling, json_spelling in _JSON_SPELLINGS:
-        text = text.replace(spelling, json_spelling)
+    ``ErrorReport`` of a run's paired switches, each file in one write.
+    A row and its entry share one repr of ``bound``.  Of all that the rows
+    and the summary print, only nan, inf and None hold an ``n``, so the
+    _JSON_SPELLINGS passes run only if one search of them finds one."""
+    lines, entries = [], []
+    for k, computed, oracle, error, bound, within in summary.events:
+        row = k, computed, oracle, error, b"%r" % bound, b"true" if within else b"false"
+        lines.append(_SWITCH_ROW % row)
+        entries.append(_REPORT_EVENT % row)
+    rows = b"".join(lines)
+    values = summary.max_abs_error, summary.mean_spacing
+    text = b",".join(entries) + (b"\n  " if entries else b"") + _REPORT_TAIL % values
+    if b"n" in rows or b"n" in b"%r%r" % values:
+        for spelling, json_spelling in _JSON_SPELLINGS:
+            text = text.replace(spelling, json_spelling)
+    switches.write(rows)
     report.write(text)
 
 
@@ -437,14 +444,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = _log_level(os.environ.get("MASSGATE_LOG", "error"))
-    # massgate logs only at INFO and DEBUG, so at ERROR no record can show
-    # and importing logging (about 10 ms) is skipped, unless it is already
-    # imported: then a handler set by an earlier call must be reset
-    if level < 40 or "logging" in sys.modules:
-        import logging
-        logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s", force=True)
     args = build_parser().parse_args(argv)
+    level = _log_level(os.environ.get("MASSGATE_LOG", "error"))
+    # massgate logs only at INFO and DEBUG, so at ERROR importing logging
+    # (about 10 ms) is skipped.  Else the massgate logger gets the level and
+    # a stderr handler for this call alone: the caller's logging is untouched.
+    log = None
+    if level < 40:
+        import logging
+        log = logging.getLogger("massgate")
+        previous = log.level
+        handler = logging.StreamHandler(sys.stderr)
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+        log.setLevel(level)
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError and every other library ValueError
@@ -460,6 +473,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"massgate: io error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if log is not None:
+            log.removeHandler(handler)
+            log.setLevel(previous)
 
 
 if __name__ == "__main__":

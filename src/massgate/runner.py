@@ -278,16 +278,17 @@ def compare_with_oracle(traj: Trajectory, run_config: RunConfig) -> ErrorReport:
     that detected it: that of the first stage ending at or after its
     time, or of the last stage.  A switch detected before its closed-form
     time, including one whose closed-form time lies past the horizon, has
-    a negative error and is reported out of bound.
+    a negative error and is reported out of bound.  The switches come in
+    time order, as a run records them, so one cursor walks the stages.
     """
     control = run_config.control
     stages = run_config.mode.stages(control)
+    at, last = 0, len(stages) - 1
     rows = []
     for index, time, _ in traj.events:
-        for stage in stages:
-            if time <= stage.end:
-                break
-        dt = stage.dt
+        while at < last and not time <= stages[at].end:
+            at += 1
+        dt = stages[at].dt
         oracle_time = analytic.switch_time(index, control)
         bound = index * dt
         error = time - oracle_time

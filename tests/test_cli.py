@@ -1,5 +1,6 @@
 import csv
 import errno
+import io
 import json
 import logging
 import math
@@ -59,8 +60,9 @@ OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
 # Tests that once also ran under a faked count of one CPU and under a
 # failing fork keep the names and case ids they had then: a "2" or
 # "2-False" in an id (two CPUs, a fork that works) marks the one case
-# each kept.  test_cli_run_and_compare_fork_nothing holds that no command
-# forks or reads the CPU set, so those variants could differ in nothing.
+# each kept.  test_no_command_starts_a_process_or_reads_the_cpu_set holds
+# that no command forks or reads the CPU set, so those variants could
+# differ in nothing.
 # k*M overflows from switch 5 on, though all 15 switch times up to the
 # horizon are finite
 LARGE_THRESHOLDS = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3,
@@ -604,26 +606,6 @@ def test_cli_module_logs_under_massgate_names(tmp_path):
     assert names and all(name.startswith("massgate.") for name in names), result.stderr
 
 
-@pytest.mark.parametrize(
-    "mapping",
-    [
-        pytest.param({**REFERENCE, "snapshot_stride": 5}, id="reference-failed-fork"),
-        pytest.param({**ADAPTIVE, "snapshot_stride": 3}, id="adaptive-failed-fork"),
-        pytest.param(DENSE_ADAPTIVE, id="dense-adaptive-failed-fork"),
-    ],
-)
-def test_run_and_emit_writes_the_post_run_bytes(tmp_path, monkeypatch, mapping):
-    expected = in_process_outputs(mapping, tmp_path / "expected")
-
-    def no_fork():  # as at the process limit
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    _run_and_emit(config_from_mapping(mapping), tmp_path / "out")
-    for name, data in expected.items():
-        assert (tmp_path / "out" / name).read_bytes() == data, name
-
-
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -638,7 +620,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
         pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive"),
     ],
 )
-def test_cli_run_and_compare_fork_nothing(tmp_path, capsys, monkeypatch, mapping):
+def test_no_command_starts_a_process_or_reads_the_cpu_set(tmp_path, capsys, monkeypatch, mapping):
     # no command starts a process or reads the CPU set: every command runs
     # in this one process, so what it writes cannot depend on the CPUs it
     # may use or on whether a fork would succeed
@@ -1171,3 +1153,24 @@ def test_cli_run_at_debug_logs_each_switch_and_writes_the_same_bytes(tmp_path, c
     for line, row in zip(debug["debug"], rows):
         k, time = re.match(r"DEBUG massgate\.runner: switch (\d+) at t=(\S+): mass ", line).groups()
         assert (k, f"{float(time):.10f}") == (row["k"], row["T_k"])
+
+
+@pytest.mark.parametrize("level", ["error", "debug"])
+def test_cli_leaves_the_root_loggers_handlers_in_place_and_open(tmp_path, capsys, monkeypatch, level):
+    # a program that calls main keeps its own logging set-up
+    closed = []
+
+    class Handler(logging.StreamHandler):
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    handler = Handler(io.StringIO())
+    monkeypatch.setattr(logging.root, "handlers", [*logging.root.handlers, handler])
+    before = list(logging.root.handlers)
+    monkeypatch.setenv("MASSGATE_LOG", level)
+    config_path = write_config(tmp_path, REFERENCE)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert logging.root.handlers == before  # the same objects: handlers compare by identity
+    assert closed == []

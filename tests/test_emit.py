@@ -5,7 +5,10 @@ The reference below is the earlier text-mode writer, kept as the oracle:
 report.json from `json.dumps(..., indent=2)`.  The byte templates must
 reproduce it exactly on values chosen to stress the conversion: -0.0,
 values of 10 and more, past 1e16, subnormals, non-finite field values,
-negative errors and `bound` values with long shortest reprs.
+negative errors and `bound` values with long shortest reprs.  Reports
+with one value that JSON spells otherwise (nan, inf or None), in one
+slot each, and the 499 switches of a real adaptive run check that the
+report's JSON spellings are applied whenever, and only where, needed.
 """
 
 import json
@@ -14,8 +17,8 @@ from array import array
 
 import pytest
 
-from massgate.cli import emit_outputs
-from massgate.runner import ErrorReport, EventError, FieldState, Trajectory
+from massgate.cli import config_from_mapping, emit_outputs
+from massgate.runner import ErrorReport, EventError, FieldState, Trajectory, compare_with_oracle, run
 
 
 def _fmt(value: float) -> str:
@@ -78,6 +81,23 @@ EVENTS = (
     EventError(10, 1e17, 1.0000000000000002e17, -16.0, 0.03333333333333333, False),
 )
 EMPTY = ErrorReport(events=(), max_abs_error=None, mean_spacing=None)
+# 499 switches of an adaptive run, all within bound
+DENSE_ADAPTIVE = {"m": 0.1, "M": 0.2, "alpha": 1, "horizon": 25.0, "J": 10, "mode": "adaptive", "N0": 10, "Nstage": 5}
+
+
+def one_special(**values) -> ErrorReport:
+    """EVENTS and a finite summary with exactly the given values replaced:
+    ``bound``, ``error``, ``computed_time`` or ``oracle_time`` in the
+    second event, or ``max_abs_error`` or ``mean_spacing``."""
+    summary = {key: values.pop(key) for key in ("max_abs_error", "mean_spacing") if key in values}
+    events = (EVENTS[0], EVENTS[1]._replace(**values), *EVENTS[2:])
+    return ErrorReport(events=events, **{"max_abs_error": 16.0, "mean_spacing": 0.1 * 3, **summary})
+
+
+def dense_adaptive_run() -> tuple[Trajectory, ErrorReport]:
+    config = config_from_mapping(DENSE_ADAPTIVE)
+    traj = run(config)
+    return traj, compare_with_oracle(traj, config)
 
 
 def trajectory(snapshots: tuple[FieldState, ...]) -> Trajectory:
@@ -104,6 +124,14 @@ CASES = {
     "whole-field-J3": (trajectory((FieldState(array("d", [1.0, 2.0, 4.0, 8.0]), 0.5),)), EMPTY),
     "no-events-no-snapshots": (trajectory(()), EMPTY),
     "empty": (Trajectory(times=array("d"), masses=array("d"), fluxes=array("b"), snapshots=(), events=()), EMPTY),
+    # one value that JSON spells otherwise, in one slot each
+    "bound-inf": (trajectory(()), one_special(bound=math.inf)),
+    "err-nan": (trajectory(()), one_special(error=math.nan)),
+    "T_k-minus-inf": (trajectory(()), one_special(computed_time=-math.inf)),
+    "t_k-inf": (trajectory(()), one_special(oracle_time=math.inf)),
+    "max_abs_error-inf": (trajectory(()), one_special(max_abs_error=math.inf)),
+    "mean_spacing-None": (trajectory(()), one_special(mean_spacing=None)),
+    "dense-adaptive": dense_adaptive_run(),
 }
 
 

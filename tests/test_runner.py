@@ -497,6 +497,46 @@ def test_spurious_event_is_reported_out_of_bound():
     assert not row.within_bound
 
 
+@pytest.mark.parametrize(
+    "control, first_stage_steps, stage_steps",
+    [
+        (ControlConfig(lower=0.1, upper=0.2, diffusivity=1.0, horizon=2.0), 3, 7),
+        (ControlConfig(lower=0.25, upper=1.0, diffusivity=0.5, horizon=20.0), 1, 4),
+        (ControlConfig(lower=0.1, upper=0.2, diffusivity=0.05, horizon=50.0), 2, 2),
+    ],
+)
+def test_compare_takes_each_switch_bound_from_the_stage_that_detected_it(control, first_stage_steps, stage_steps):
+    # Switch 1 ends the climb, on the climb's last step; every later one
+    # falls in the second stage.  A switch past the last stage's end takes
+    # that stage's dt.
+    cfg = RunConfig(
+        control=control,
+        grid=GridSpec(cells=10),
+        quadrature=QuadratureKind.RIEMANN_INTERIOR,
+        mode=AdaptiveGrid(first_stage_steps=first_stage_steps, stage_steps=stage_steps),
+    )
+    climb, stage = cfg.mode.stages(control)
+    assert climb.dt != stage.dt
+    report = compare_with_oracle(run(cfg), cfg)
+    first, *later = report.events
+    assert len(later) >= 5
+    assert first.computed_time == climb.end
+    assert first.bound == 1 * climb.dt
+    for row in later:
+        assert row.bound == row.index * stage.dt, row.index
+
+    past = stage.end + stage.dt
+    bogus = Trajectory(
+        times=np.array([past]),
+        masses=np.array([control.upper]),
+        fluxes=np.array([1]),
+        snapshots=(),
+        events=(SwitchEvent(3, past, control.upper),),
+    )
+    (row,) = compare_with_oracle(bogus, cfg).events
+    assert row.bound == 3 * stage.dt
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(

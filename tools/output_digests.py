@@ -10,6 +10,8 @@ The cases:
 * `sweep --n-list 50,200,1000` on the reference golden config;
 * `run` and `oracle` on `LARGE`, whose thresholds are so large that
   k*M overflows while every switch time up to the horizon is finite;
+* `run` on `DENSE_FIXED`, 1,238 trapezoid switches on one fixed stage,
+  every one out of bound, so `within_bound=false` is printed at volume;
 * `run` on the reference golden config with N=50 and a snapshot at
   every step, as `snapshots-J<J>` once for each J in `JS`, so that every
   parity and size of the mirrored snapshot rows is hashed, and both
@@ -60,6 +62,8 @@ SAMPLE_SEED = 0
 SAMPLE_SIZE = 60
 # 15 closed-form switches up to the horizon; k*M overflows from k = 5 on
 LARGE = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3, "Nstage": 3}
+# 1,238 trapezoid switches, each detected before its closed-form time
+DENSE_FIXED = {"m": 0.1, "M": 0.11, "alpha": 0.05, "horizon": 100, "J": 50, "N": 20000}
 
 
 def sample_config(rng: random.Random, mode: str) -> dict:
@@ -92,6 +96,7 @@ def cases(root: Path):
     yield "sweep-reference", ["sweep", "--n-list", "50,200,1000"], configs["reference"]
     yield "large-thresholds", ["run"], LARGE
     yield "oracle-large-thresholds", ["oracle"], LARGE
+    yield "dense-fixed-trapezoid", ["run"], DENSE_FIXED
     for cells in JS:
         yield f"snapshots-J{cells}", ["run"], {**configs["reference"], "J": cells, "N": 50, "snapshot_stride": 1}
 
