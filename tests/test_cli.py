@@ -60,9 +60,8 @@ OUTPUTS = ("switches.csv", "mass.csv", "snapshots.csv", "report.json")
 # Tests that once also ran under a faked count of one CPU and under a
 # failing fork keep the names and case ids they had then: a "2" or
 # "2-False" in an id (two CPUs, a fork that works) marks the one case
-# each kept.  test_no_command_starts_a_process_or_reads_the_cpu_set holds
-# that no command forks or reads the CPU set, so those variants could
-# differ in nothing.
+# each kept.  test_cli_run_and_compare_fork_nothing holds that no command
+# forks or reads the CPU set, so those variants could differ in nothing.
 # k*M overflows from switch 5 on, though all 15 switch times up to the
 # horizon are finite
 LARGE_THRESHOLDS = {"m": 2e307, "M": 4.4e307, "alpha": 1e307, "horizon": 20, "J": 2, "mode": "adaptive", "N0": 3,
@@ -620,7 +619,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
         pytest.param({**DENSE_ADAPTIVE, "snapshot_stride": 5}, id="dense-adaptive"),
     ],
 )
-def test_no_command_starts_a_process_or_reads_the_cpu_set(tmp_path, capsys, monkeypatch, mapping):
+def test_cli_run_and_compare_fork_nothing(tmp_path, capsys, monkeypatch, mapping):
     # no command starts a process or reads the CPU set: every command runs
     # in this one process, so what it writes cannot depend on the CPUs it
     # may use or on whether a fork would succeed
